@@ -182,8 +182,13 @@ def _build_parser() -> argparse.ArgumentParser:
                             "review artifact")
     bench.add_argument("--check", metavar="BASELINE", default=None,
                        help="also gate against a previous report at "
-                            "this path (>25%% slowdown on any "
-                            "benchmark fails)")
+                            "this path: a benchmark whose optimised time "
+                            "exceeds CROSS_RUN_RATIO (1.5x) the "
+                            "report's fails.  This compares absolute "
+                            "seconds, so a slower host can fail it; the "
+                            "in-run MAX_RATIO gate (optimised at most "
+                            "0.90x its same-run baseline) applies either "
+                            "way")
 
     cluster = sub.add_parser(
         "cluster", parents=[parent],

@@ -17,52 +17,66 @@ Two models:
   C cores; each request holds a core for its CPU phase and releases it
   during device I/O (why extra workers help even on one core), with an
   optional big-kernel-lock fraction serializing kernel-side CPU time.
+
+Both models are exact fast-forward engines.  Service times are
+deterministic integers, so after a short transient each model repeats
+one cycle of events, shifted in time.  The engines step event by event
+while recording a *normalised state key*: the state with every absolute
+time replaced by its offset from the current time, clipped at zero
+where a past time acts exactly like the present.  At the first repeated
+key they jump ``k`` whole periods at once — shift every absolute time
+by ``k`` periods and add ``k`` periods' completions — and then step the
+rest of the window, where the deadline truncates the run exactly as a
+per-event run would.  ``tests/sim_oracle.py`` keeps the per-event
+engines as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
+
+#: normalised state key -> (time, completions) when first seen
+_Seen = Dict[Hashable, Tuple[int, int]]
 
 
-class EventSim:
-    """A minimal discrete-event engine."""
-
-    def __init__(self) -> None:
-        self._queue: List[Tuple[int, int, Callable[[], None]]] = []
-        self._seq = itertools.count()
-        self.now = 0
-
-    def schedule(self, at: int, action: Callable[[], None]) -> None:
-        if at < self.now:
-            raise ValueError("cannot schedule in the past")
-        heapq.heappush(self._queue, (at, next(self._seq), action))
-
-    def run_until(self, deadline: int) -> None:
-        while self._queue and self._queue[0][0] <= deadline:
-            at, _seq, action = heapq.heappop(self._queue)
-            self.now = at
-            action()
-        self.now = max(self.now, deadline)
+def _require(condition: bool, message: str) -> None:
+    """Reject an input the models cannot run, naming the argument."""
+    if not condition:
+        raise ValueError(message)
 
 
-class _Cores:
-    """A pool of cores tracked by their busy-until times."""
+def _require_costs(first: str, first_ns: int, second: str, second_ns: int,
+                   duration_ns: int) -> None:
+    # a request that costs no time would never advance the clock
+    _require(first_ns >= 0 and second_ns >= 0 and first_ns + second_ns > 0,
+             f"{first} and {second} must be non-negative with a positive "
+             f"sum, got {first}={first_ns}, {second}={second_ns}")
+    _require(duration_ns >= 0,
+             f"duration_ns must be non-negative, got {duration_ns}")
 
-    def __init__(self, count: int) -> None:
-        self.busy_until = [0] * count
 
-    def acquire(self, at: int, duration: int) -> int:
-        """Run ``duration`` on the earliest-available core; returns the
-        completion time."""
-        index = min(range(len(self.busy_until)),
-                    key=lambda i: self.busy_until[i])
-        start = max(at, self.busy_until[index])
-        end = start + duration
-        self.busy_until[index] = end
-        return end
+def _period_jump(first: Tuple[int, int], now: int, completions: int,
+                 offset_ns: int, cost_ns: int,
+                 duration_ns: int) -> Tuple[int, int]:
+    """The jump at a repeat of a state first seen at ``first``, a
+    ``(time, completions)`` pair.
+
+    The events since that first sighting repeat every period (``now``
+    minus its time), so whole periods can be skipped while every
+    request they contain still completes inside the window.  The jump
+    keeps a margin before the deadline of the largest pending or busy
+    offset (``offset_ns``), plus one period, plus one request's cost,
+    so one jump per run is all there is room for.  Returns
+    ``(shift_ns, gained_completions)``; ``(0, 0)`` when too close to
+    the deadline to skip a whole period.
+    """
+    then, then_completions = first
+    period = now - then
+    margin = offset_ns + period + cost_ns
+    periods = max(0, (duration_ns - now - margin) // period)
+    return periods * period, periods * (completions - then_completions)
 
 
 @dataclass
@@ -89,31 +103,52 @@ def simulate_fork_pipeline(fork_ns: int, child_ns: int, worker_cores: int,
     (default: one in flight per worker core, like a request queue).
 
     Throughput is therefore ``min(1/fork, cores/child)`` shaped, with
-    the exact crossover emerging from the event schedule.
+    the exact crossover emerging from the event schedule.  The state
+    key is the cores' busy offsets and the backlog's completion
+    offsets, relative to the coordinator's time.
     """
+    _require_costs("fork_ns", fork_ns, "child_ns", child_ns, duration_ns)
+    _require(worker_cores >= 1,
+             f"worker_cores must be at least 1, got {worker_cores}")
     if queue_depth is None:
         queue_depth = worker_cores * 2
-    cores = _Cores(worker_cores)
+    _require(queue_depth >= 1,
+             f"queue_depth must be at least 1, got {queue_depth}")
+    core_busy = [0] * worker_cores
+    backlog: List[int] = []  # heap of child completion times
     t_coordinator = 0
     completions = 0
-    completion_times: List[int] = []
+    seen: Optional[_Seen] = {}
     while True:
+        while backlog and backlog[0] <= t_coordinator:
+            heapq.heappop(backlog)
+        if seen is not None:
+            busy = [max(b - t_coordinator, 0) for b in core_busy]
+            waits = [t - t_coordinator for t in backlog]
+            entry = (t_coordinator, completions)
+            first = seen.setdefault(
+                (tuple(sorted(busy)), tuple(sorted(waits))), entry)
+            if first is not entry:
+                seen = None
+                shift, gained = _period_jump(
+                    first, t_coordinator, completions, max(busy + waits),
+                    fork_ns + child_ns, duration_ns)
+                t_coordinator += shift
+                core_busy = [b + shift for b in core_busy]
+                backlog = [t + shift for t in backlog]  # still a heap
+                completions += gained
         # backpressure: wait until the backlog drains below the cap
-        pending = [t for t in completion_times if t > t_coordinator]
-        if len(pending) >= queue_depth:
-            t_coordinator = min(pending)
+        if len(backlog) >= queue_depth:
+            t_coordinator = heapq.heappop(backlog)
         t_coordinator += fork_ns
         if t_coordinator > duration_ns:
             break
-        end = cores.acquire(t_coordinator, child_ns)
-        completion_times.append(end)
+        index = core_busy.index(min(core_busy))
+        end = max(t_coordinator, core_busy[index]) + child_ns
+        core_busy[index] = end
+        heapq.heappush(backlog, end)
         if end <= duration_ns:
             completions += 1
-        # keep the list small
-        if len(completion_times) > 4 * queue_depth:
-            completion_times = [
-                t for t in completion_times if t > t_coordinator
-            ]
     return PipelineResult(completions=completions, duration_ns=duration_ns)
 
 
@@ -138,31 +173,54 @@ def simulate_closed_workers(cpu_ns: int, io_ns: int, workers: int,
     Each worker repeats: run ``cpu_ns`` on a core (of which
     ``kernel_lock_fraction`` additionally requires the global kernel
     lock — Unikraft's big kernel lock, §4.5), then wait ``io_ns`` off
-    the core (device latency), then complete one request.
+    the core (device latency), then complete one request.  A request
+    that would complete after the window ends its worker.
+
+    Workers are interchangeable, so the state key holds no worker ids:
+    the sorted core busy offsets and the lock offset, both clipped at
+    zero, and the sorted offsets of the workers' next steps.
     """
-    sim = EventSim()
+    _require_costs("cpu_ns", cpu_ns, "io_ns", io_ns, duration_ns)
+    _require(workers >= 0, f"workers must be non-negative, got {workers}")
+    _require(cores >= 1, f"cores must be at least 1, got {cores}")
+    _require(0 <= kernel_lock_fraction <= 1,
+             f"kernel_lock_fraction must be in [0, 1], "
+             f"got {kernel_lock_fraction}")
+    locked_ns = int(cpu_ns * kernel_lock_fraction)
+    unlocked_ns = cpu_ns - locked_ns
     core_busy = [0] * cores
     lock_free_at = 0
+    steps = [0] * workers  # heap of the workers' next step times
     completions = 0
-
-    def worker_step(worker_id: int) -> None:
-        nonlocal completions, lock_free_at
-        locked_ns = int(cpu_ns * kernel_lock_fraction)
-        unlocked_ns = cpu_ns - locked_ns
-        index = min(range(cores), key=lambda i: core_busy[i])
-        start = max(sim.now, core_busy[index])
-        end_cpu = start + unlocked_ns
+    seen: Optional[_Seen] = {}
+    while steps:
+        now = steps[0]
+        if seen is not None:
+            busy = [max(b - now, 0) for b in core_busy]
+            lock = max(lock_free_at - now, 0)
+            waits = [t - now for t in steps]
+            entry = (now, completions)
+            first = seen.setdefault(
+                (tuple(sorted(busy)), lock, tuple(sorted(waits))), entry)
+            if first is not entry:
+                seen = None
+                shift, gained = _period_jump(
+                    first, now, completions, max(busy + waits + [lock]),
+                    cpu_ns + io_ns, duration_ns)
+                now += shift
+                core_busy = [b + shift for b in core_busy]
+                lock_free_at += shift
+                steps = [t + shift for t in steps]  # still a heap
+                completions += gained
+        heapq.heappop(steps)
+        index = core_busy.index(min(core_busy))
+        end_cpu = max(now, core_busy[index]) + unlocked_ns
         if locked_ns:
-            lock_start = max(end_cpu, lock_free_at)
-            end_cpu = lock_start + locked_ns
+            end_cpu = max(end_cpu, lock_free_at) + locked_ns
             lock_free_at = end_cpu
         core_busy[index] = end_cpu  # the core is held through the lock
         done = end_cpu + io_ns
         if done <= duration_ns:
             completions += 1
-            sim.schedule(done, lambda: worker_step(worker_id))
-
-    for worker_id in range(workers):
-        sim.schedule(0, lambda wid=worker_id: worker_step(wid))
-    sim.run_until(duration_ns)
+            heapq.heappush(steps, done)
     return WorkerResult(completions=completions, duration_ns=duration_ns)
