@@ -20,16 +20,10 @@ nothing about simulated behaviour changes.  The facade's surface —
 names and call signatures — is contract-tested
 (``tests/test_api_contract.py``), so accidental breakage of downstream
 scripts fails CI.
-
-The old entry points remain importable from here as deprecation shims
-(:func:`Machine`, :func:`make_scheduler`) that forward unchanged after
-emitting a :class:`DeprecationWarning`; new code should construct a
-:class:`Session` instead.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Dict, Optional, TypeVar
 
 __all__ = [
@@ -37,8 +31,6 @@ __all__ = [
     "STRATEGIES",
     "ISOLATIONS",
     "Session",
-    "Machine",
-    "make_scheduler",
 ]
 
 _T = TypeVar("_T")
@@ -98,12 +90,6 @@ class Session:
     * ``chaos`` — a fault-mix spec string (see docs/CHAOS.md), e.g.
       ``"default=0.01,core.ufork.abort.*=0.2"``, to attach a seeded
       :class:`repro.chaos.ChaosEngine`; ``None`` (default) runs clean.
-    * ``perf`` — storage/batching representation
-      (docs/ARCHITECTURE.md "Vectorized engine"): ``True`` forces the
-      vectorized engine, ``False`` the self-contained per-page one,
-      ``None`` (default) follows the ``REPRO_PERF`` environment
-      variable.  Simulated results are byte-identical either way; only
-      host speed differs.
 
     ``boot()`` is idempotent and implied by ``spawn``/``run``/``report``
     and by entering the session as a context manager.
@@ -111,8 +97,7 @@ class Session:
 
     def __init__(self, *, os: str = "ufork", strategy: str = "copa",
                  isolation: str = "fault", cpus: int = 1, seed: int = 7,
-                 obs: bool = False, chaos: Optional[str] = None,
-                 perf: Optional[bool] = None) -> None:
+                 obs: bool = False, chaos: Optional[str] = None) -> None:
         # validate eagerly so typos fail at construction, not at boot
         _resolve_os(os)
         _resolve_strategy(strategy)
@@ -126,7 +111,6 @@ class Session:
         self.seed = seed
         self.obs_enabled = obs
         self.chaos_spec = chaos
-        self.perf = perf
         self.machine: Optional[Any] = None
         self.os: Optional[Any] = None
 
@@ -136,9 +120,8 @@ class Session:
         """Create the machine and the OS (idempotent)."""
         if self.os is not None:
             return self
-        from repro.machine import Machine as _MachineCls
-        self.machine = _MachineCls(seed=self.seed, num_cpus=self.cpus,
-                                   perf=self.perf)
+        from repro.machine import Machine
+        self.machine = Machine(seed=self.seed, num_cpus=self.cpus)
         if self.chaos_spec is not None:
             from repro.chaos import ChaosEngine, FaultMix
             ChaosEngine(seed=self.seed,
@@ -272,31 +255,3 @@ class Session:
             out["chaos"] = machine.chaos.export()
         return out
 
-
-# -- deprecation shims ----------------------------------------------------
-
-def Machine(*args: Any, **kwargs: Any):
-    """Deprecated: construct a :class:`Session` instead.
-
-    Forwards unchanged to :class:`repro.machine.Machine`.
-    """
-    warnings.warn(
-        "repro.api.Machine is deprecated and will be removed in "
-        "repro 2.0; use repro.api.Session "
-        "(or repro.machine.Machine for low-level work)",
-        DeprecationWarning, stacklevel=2)
-    from repro.machine import Machine as _MachineCls
-    return _MachineCls(*args, **kwargs)
-
-
-def make_scheduler(machine: Any, same_address_space: bool):
-    """Deprecated: :meth:`Session.boot` wires the scheduler for you.
-
-    Forwards unchanged to :func:`repro.kernel.sched.make_scheduler`.
-    """
-    warnings.warn(
-        "repro.api.make_scheduler is deprecated and will be removed in "
-        "repro 2.0; Session.boot() selects the scheduler from cpus=",
-        DeprecationWarning, stacklevel=2)
-    from repro.kernel.sched import make_scheduler as _make
-    return _make(machine, same_address_space)

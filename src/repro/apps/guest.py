@@ -16,15 +16,14 @@ from __future__ import annotations
 import struct
 from typing import Any, Optional, Tuple
 
-from repro import perf as _perf
 from repro.cheri.capability import OTYPE_UNSEALED, Capability, Perm
 from repro.cheri.codec import CAP_SIZE
 from repro.kernel.task import Process
 
 _U64 = struct.Struct("<Q")
 
-#: hoisted Perm members for the perf fast lanes in load/store — the
-#: per-access Enum class-attribute lookups add up on hot guest loops
+#: hoisted Perm members for load/store — the per-access Enum
+#: class-attribute lookups add up on hot guest loops
 _PERM_LOAD = Perm.LOAD
 _PERM_STORE = Perm.STORE
 
@@ -62,41 +61,22 @@ class GuestContext:
     @property
     def space(self):
         # a process's address space is assigned once (spawn/fork) and
-        # never replaced, so the perf path resolves it only once
-        if _perf.ENABLED:
-            space = self._space_memo
-            if space is None:
-                space = self.os.space_of(self.proc)
-                self._space_memo = space
-            return space
-        return self.os.space_of(self.proc)
+        # never replaced, so it is resolved only once
+        space = self._space_memo
+        if space is None:
+            space = self._space_memo = self.os.space_of(self.proc)
+        return space
 
     def load(self, cap: Capability, size: int, offset: int = 0) -> bytes:
-        if _perf.ENABLED:
-            # same call chain, minus the property/keyword overhead
-            addr = cap.check_access(_PERM_LOAD, size, cap.cursor + offset)
-            space = self._space_memo
-            if space is None:
-                space = self.os.space_of(self.proc)
-                self._space_memo = space
-            return space.read(addr, size)
-        addr = cap.check_access(Perm.LOAD, size=size,
-                                addr=cap.cursor + offset)
-        return self.space.read(addr, size)
+        # the space memo is read inline, minus the property overhead
+        addr = cap.check_access(_PERM_LOAD, size, cap.cursor + offset)
+        space = self._space_memo or self.space
+        return space.read(addr, size)
 
     def store(self, cap: Capability, data: bytes, offset: int = 0) -> None:
-        if _perf.ENABLED:
-            addr = cap.check_access(_PERM_STORE, len(data),
-                                    cap.cursor + offset)
-            space = self._space_memo
-            if space is None:
-                space = self.os.space_of(self.proc)
-                self._space_memo = space
-            space.write(addr, data)
-            return
-        addr = cap.check_access(Perm.STORE, size=len(data),
-                                addr=cap.cursor + offset)
-        self.space.write(addr, data)
+        addr = cap.check_access(_PERM_STORE, len(data), cap.cursor + offset)
+        space = self._space_memo or self.space
+        space.write(addr, data)
 
     def store_run(self, cap: Capability, data: bytes, offsets) -> None:
         """``store(cap, data, offset)`` for every offset, in order.
@@ -110,7 +90,7 @@ class GuestContext:
         fault takes the per-store loop instead, so the faulting access
         and its fault class are exactly those of the unbatched calls.
         """
-        if _perf.ENABLED and offsets:
+        if offsets:
             size = len(data)
             cursor = cap.cursor
             lo = min(offsets)
@@ -120,12 +100,8 @@ class GuestContext:
                     (cap.perms._value_ & bits) == bits and \
                     cap.base <= cursor + lo and \
                     cursor + hi + size <= cap.base + cap.length:
-                space = self._space_memo
-                if space is None:
-                    space = self.os.space_of(self.proc)
-                    self._space_memo = space
-                space.write_run([cursor + offset for offset in offsets],
-                                data)
+                self.space.write_run(
+                    [cursor + offset for offset in offsets], data)
                 return
         for offset in offsets:
             self.store(cap, data, offset)

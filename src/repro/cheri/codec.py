@@ -35,8 +35,7 @@ _MEMO_CAP = 65536
 class CapabilityCodec:
     """Interns capability metadata and packs/unpacks 16-byte granules.
 
-    With :mod:`repro.perf` enabled, encode and decode are memoised.
-    Both memos are sound by construction: a metadata tuple, once
+    Encode and decode are memoised.  Both memos are sound by construction: a metadata tuple, once
     interned, never changes, so a ``(cursor, meta_id, valid)`` triple
     always decodes to an equal :class:`Capability`.  The one case that
     is *not* cacheable — raw bytes naming a meta id that does not exist
@@ -49,12 +48,6 @@ class CapabilityCodec:
         self._id_to_meta: Dict[int, Tuple[int, int, int, int]] = {}
         self._encode_memo: Dict[Tuple[int, int, int, int, int], bytes] = {}
         self._decode_memo: Dict[Tuple[bytes, bool], Capability] = {}
-        self._perf = False
-        try:
-            from repro import perf as _perf
-            self._perf = _perf.enabled()
-        except ImportError:  # pragma: no cover - bootstrap ordering
-            pass
 
     def _meta_id(self, cap: Capability) -> int:
         key = (cap.base, cap.length, int(cap.perms), cap.otype)
@@ -67,22 +60,15 @@ class CapabilityCodec:
 
     def encode(self, cap: Capability) -> bytes:
         """Pack a capability into its 16-byte memory representation."""
-        if self._perf:
-            key = (cap.cursor, cap.base, cap.length, int(cap.perms),
-                   cap.otype)
-            raw = self._encode_memo.get(key)
-            if raw is not None:
-                return raw
-            raw = _META_STRUCT.pack(
-                cap.cursor & (2**64 - 1), self._meta_id(cap)
-            )
-            if len(self._encode_memo) >= _MEMO_CAP:
-                self._encode_memo.clear()
-            self._encode_memo[key] = raw
+        key = (cap.cursor, cap.base, cap.length, int(cap.perms), cap.otype)
+        raw = self._encode_memo.get(key)
+        if raw is not None:
             return raw
-        return _META_STRUCT.pack(
-            cap.cursor & (2**64 - 1), self._meta_id(cap)
-        )
+        raw = _META_STRUCT.pack(cap.cursor & (2**64 - 1), self._meta_id(cap))
+        if len(self._encode_memo) >= _MEMO_CAP:
+            self._encode_memo.clear()
+        self._encode_memo[key] = raw
+        return raw
 
     def decode(self, raw: bytes, valid: bool) -> Capability:
         """Unpack a 16-byte granule.
@@ -92,11 +78,10 @@ class CapabilityCodec:
         loading untagged bytes into a capability register yields a value
         that faults on use.
         """
-        if self._perf:
-            memo_key = (raw, valid)
-            cached = self._decode_memo.get(memo_key)
-            if cached is not None:
-                return cached
+        memo_key = (raw, valid)
+        cached = self._decode_memo.get(memo_key)
+        if cached is not None:
+            return cached
         if len(raw) != CAP_SIZE:
             raise ValueError(f"capability granule must be {CAP_SIZE} bytes")
         cursor, meta_id = _META_STRUCT.unpack(raw)
@@ -108,17 +93,8 @@ class CapabilityCodec:
                 base=0, length=0, cursor=cursor, perms=Perm.NONE, valid=False
             )
         base, length, perms, otype = meta
-        if self._perf:
-            cap = _fast_cap(base, length, cursor, Perm(perms), otype, valid)
-            if len(self._decode_memo) >= _MEMO_CAP:
-                self._decode_memo.clear()
-            self._decode_memo[memo_key] = cap
-            return cap
-        return Capability(
-            base=base,
-            length=length,
-            cursor=cursor,
-            perms=Perm(perms),
-            otype=otype,
-            valid=valid,
-        )
+        cap = _fast_cap(base, length, cursor, Perm(perms), otype, valid)
+        if len(self._decode_memo) >= _MEMO_CAP:
+            self._decode_memo.clear()
+        self._decode_memo[memo_key] = cap
+        return cap

@@ -13,7 +13,7 @@ Two entry points:
 
 * :func:`run_isolated` — the original one-shot helper: run a code
   snippet, block until it exits (or the deadline kills it), return an
-  :class:`IsolatedResult`.  ``tests/isolated.py`` re-exports it.
+  :class:`IsolatedResult`.
 * :class:`IsolatedProcess` — the non-blocking form the exploration
   farm (:mod:`repro.conform.farm`) builds on: spawn many workers
   concurrently (each with its own group and deadline measured from
@@ -33,9 +33,7 @@ from typing import List, Optional
 
 import repro
 
-#: the public surface; ``tests/isolated.py`` re-exports exactly this
-#: (tests/test_sec_attacks.py pins the two lists against each other so
-#: the shim cannot silently drift from the promoted module again)
+#: the public surface (pinned by tests/test_sec_attacks.py)
 __all__ = ["REPO_SRC", "IsolatedProcess", "IsolatedResult", "run_isolated"]
 
 #: directory that makes ``import repro`` work in a child interpreter —

@@ -18,7 +18,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from repro import perf as _perf
 from repro.cheri.capability import Capability
 from repro.cheri.codec import CAP_SIZE
 from repro.cheri.regfile import RegisterFile
@@ -100,17 +99,7 @@ def relocate_frame(machine: Any, frame: Frame, regions: RegionPair) -> int:
         obs.count("core.relocate.frames_scanned")
         obs.count("hw.phys.tag_granules_scanned",
                   config.page_size // config.granule)
-    if _perf.ENABLED:
-        relocated = _relocate_frame_memoised(machine, frame, regions)
-    else:
-        relocated = 0
-        for offset in frame.tagged_granules():
-            cap = frame.load_cap(offset, machine.codec)
-            moved = relocate_cap(cap, regions)
-            if moved is not cap:
-                frame.store_cap(offset, moved, machine.codec)
-                machine.charge(machine.costs.cap_relocate_ns, "reloc_cap")
-                relocated += 1
+    relocated = _relocate_frame_memoised(machine, frame, regions)
     if relocated:
         machine.counters.add("caps_relocated", relocated)
         obs.count("core.relocate.caps_relocated", relocated)
@@ -127,16 +116,14 @@ def relocate_frames(machine: Any, frames: List[Frame],
     into single sum-equal updates when the scan cost is integral (the
     charges round identically per frame, and counters/metrics record
     pure sums).  Falls back to the per-frame loop whenever batching
-    could be observable (tracer attached, non-integral scan cost, or
-    :mod:`repro.perf` disabled).
+    could be observable (tracer attached or non-integral scan cost).
     """
     count = len(frames)
     if count == 0:
         return 0
     config = machine.config
     scan_ns = machine.costs.page_scan_ns(config.page_size, config.granule)
-    if not _perf.ENABLED or machine.tracer is not None or \
-            scan_ns != int(scan_ns):
+    if machine.tracer is not None or scan_ns != int(scan_ns):
         total = 0
         for frame in frames:
             total += relocate_frame(machine, frame, regions)
@@ -178,8 +165,8 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: List[int],
     Charge/counter parity: the per-frame scan charge and sweep counts
     are batched exactly as in :func:`relocate_frames`; memo-hit frames
     batch their ``cap_relocate_ns`` charges into one sum-equal advance
-    (integral cost pre-checked — non-integral costs, an attached tracer
-    or disabled perf all take the per-frame path).
+    (integral cost pre-checked — non-integral costs or an attached
+    tracer take the per-frame path).
     """
     count = len(dsts)
     if count == 0:
@@ -187,8 +174,8 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: List[int],
     config = machine.config
     scan_ns = machine.costs.page_scan_ns(config.page_size, config.granule)
     per_cap = machine.costs.cap_relocate_ns
-    if not _perf.ENABLED or machine.tracer is not None or \
-            scan_ns != int(scan_ns) or per_cap != int(per_cap):
+    if machine.tracer is not None or scan_ns != int(scan_ns) or \
+            per_cap != int(per_cap):
         total = 0
         for dst in dsts:
             total += relocate_frame(machine, phys.frame(dst), regions)
@@ -241,7 +228,7 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: List[int],
 
 def _relocate_frame_memoised(machine: Any, frame: Frame,
                              regions: RegionPair) -> int:
-    """The :mod:`repro.perf` scan: memoises relocation at the raw-bytes
+    """The relocation scan, memoising relocation at the raw-bytes
     level so repeated forks over a stable region pair skip the
     decode → relocate → encode chain per capability.
 
@@ -254,10 +241,10 @@ def _relocate_frame_memoised(machine: Any, frame: Frame,
     is never memoised; it cannot occur for *tagged* granules anyway,
     since only a legitimate ``store_cap`` sets a tag.
 
-    The simulated charge stream is identical to the plain loop: one
-    ``cap_relocate_ns`` per rewritten capability, batched into a single
-    ``advance`` only when the cost is integral (sum-equal is then
-    bit-equal, and the observability layer records pure sums).
+    The simulated charge is one ``cap_relocate_ns`` per rewritten
+    capability, batched into a single ``advance`` only when the cost is
+    integral (sum-equal is then bit-equal, and the observability layer
+    records pure sums).
     """
     memo = machine._reloc_memo
     region_key = (regions.parent_base, regions.parent_top,

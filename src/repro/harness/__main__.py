@@ -164,31 +164,30 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="keep per-worker spec/result shard "
                                    "files in DIR (CI artifact material)")
 
+    from repro.perf.bench import BENCHMARKS
     bench = sub.add_parser(
         "bench", parents=[parent],
-        help="host-time microbenchmarks of the repro.perf hot paths; "
+        help="host-time microbenchmarks of the simulator's hot paths; "
              f"writes {BENCH_REPORT}")
     bench.add_argument("--only", action="append", default=None,
-                       metavar="NAME",
+                       metavar="NAME", choices=list(BENCHMARKS),
                        help="run only this microbenchmark (repeatable; "
-                            "fork_full_copy, fault_storm, "
-                            "pipe_pingpong, conform_explorer, "
-                            "snapshot_restore)")
+                            f"one of {', '.join(BENCHMARKS)})")
     bench.add_argument("--diff", metavar="PATH", default=None,
                        help="with --check, also write a before/after "
                             "diff of the two reports (per benchmark: "
-                            "previous vs current host times and the "
-                            "speedup delta) — CI uploads this as the "
-                            "review artifact")
+                            "both host objects and the calibrated-units "
+                            "ratio) — CI uploads this as the review "
+                            "artifact")
     bench.add_argument("--check", metavar="BASELINE", default=None,
-                       help="also gate against a previous report at "
-                            "this path: a benchmark whose optimised time "
-                            "exceeds CROSS_RUN_RATIO (1.5x) the "
-                            "report's fails.  This compares absolute "
-                            "seconds, so a slower host can fail it; the "
-                            "in-run MAX_RATIO gate (optimised at most "
-                            "0.90x its same-run baseline) applies either "
-                            "way")
+                       help="gate against a previous report at this "
+                            "path: a benchmark fails when its invariant "
+                            "differs from the report's or its calibrated "
+                            "units exceed CROSS_RUN_RATIO (1.5x) the "
+                            "report's.  Units divide out host speed, so "
+                            "a slower runner does not fail the gate; a "
+                            "baseline without units (repro.perf/v1) "
+                            "always fails")
 
     cluster = sub.add_parser(
         "cluster", parents=[parent],
@@ -357,27 +356,13 @@ def _cmd_smp(args) -> int:
 
 def _cmd_bench(args) -> int:
     from repro.harness.reportio import load_report, write_report
-    from repro.perf.bench import (
-        CROSS_RUN_RATIO,
-        check_gate,
-        diff_reports,
-        run_benchmarks,
-    )
+    from repro.perf.bench import check_gate, diff_reports, run_benchmarks
 
     report = run_benchmarks(names=args.only)
-    failures = check_gate(report)
+    failures = []
     if args.check:
         previous = load_report(args.check)
-        prior = {row["name"]: row["host"]["optimized_s"]
-                 for row in previous.get("benchmarks", [])}
-        for row in report["benchmarks"]:
-            before = prior.get(row["name"])
-            now = row["host"]["optimized_s"]
-            if before is not None and now > before * CROSS_RUN_RATIO:
-                failures.append(
-                    f"{row['name']}: optimized {now:.3f}s regressed "
-                    f">{CROSS_RUN_RATIO}x vs previous report "
-                    f"({before:.3f}s in {args.check})")
+        failures = check_gate(report, previous)
         if args.diff:
             write_report(diff_reports(previous, report), args.diff)
             print(f"[wrote {args.diff}]")

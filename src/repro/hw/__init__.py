@@ -5,8 +5,6 @@ from repro.hw.paging import (
     AccessKind,
     AddressSpace,
     PagePerm,
-    PageTable,
-    PTE,
 )
 from repro.hw.tlb import TLB
 from repro.hw.cpu import Core
@@ -17,8 +15,6 @@ __all__ = [
     "AccessKind",
     "AddressSpace",
     "PagePerm",
-    "PageTable",
-    "PTE",
     "TLB",
     "Core",
 ]

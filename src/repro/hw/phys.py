@@ -15,30 +15,22 @@ Frames are reference counted so copy-on-write style sharing (all three
 accounted precisely — the proportional-resident-set numbers in Figs 5
 and 8 come straight from these refcounts.
 
-Two storage representations back the same :class:`Frame` surface
-(docs/ARCHITECTURE.md "Vectorized engine"):
-
-* **banked flat store** (the default, ``REPRO_PERF=1``): data bytes and
-  granule tags live in machine-wide per-bank ``bytearray`` arenas
-  (:data:`BANK_FRAMES` frames per bank) and each ``Frame`` holds
-  ``memoryview`` windows into its bank, so frame copies, tag clears and
-  the relocation scan are C-level slice/``find`` operations over the
-  flat tag bitmap, and :meth:`PhysicalMemory.copy_frames` can batch a
-  whole fork's page copies into one accounting pass;
-* **self-contained frames** (``REPRO_PERF=0``): every frame owns its
-  own ``bytearray`` buffers — the pre-vectorization representation,
-  kept intact as the bench baseline and bisection escape hatch.
-
-Both representations produce byte-identical simulated results: the
-clock charges, counters, observability streams and tag/data contents
-are the same; only the host-side layout differs.
+Storage is a **banked flat store** (docs/ARCHITECTURE.md "Vectorized
+engine"): data bytes and granule tags live in machine-wide per-bank
+``bytearray`` arenas (:data:`BANK_FRAMES` frames per bank) and each
+:class:`Frame` holds ``memoryview`` windows into its bank, so frame
+copies, tag clears and the relocation scan are C-level slice/``find``
+operations over the flat tag bitmap, and
+:meth:`PhysicalMemory.copy_frames` can batch a whole fork's page copies
+into one accounting pass.  Freed frames are scrubbed lazily, on their
+next zeroing allocation.  ``tests/test_mem_oracle.py`` pins this
+behaviour against a dict reference model.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
-from repro import perf as _perf
 from repro.cheri.capability import Capability
 from repro.cheri.codec import CAP_SIZE, CapabilityCodec
 from repro.clock import EventCounters, SimClock
@@ -61,19 +53,18 @@ def _zeros(count: int) -> bytes:
 class Frame:
     """One physical page: data bytes plus per-granule validity tags.
 
-    ``data`` and ``tags`` are either owned ``bytearray`` buffers (the
-    ``REPRO_PERF=0`` representation) or ``memoryview`` windows into the
-    machine-wide banked store; every access method works identically on
-    both.  ``_tag_store``/``_tag_base`` address this frame's granule
-    run inside the flat tag bitmap so the relocation scan can use the
-    underlying ``bytearray.find`` (memchr) even through a view.
+    ``data`` and ``tags`` are ``memoryview`` windows into the
+    machine-wide banked store (a standalone frame owns plain
+    ``bytearray`` buffers instead; every access method works on both).
+    ``_tag_store``/``_tag_base`` address this frame's granule run inside
+    the flat tag bitmap so the relocation scan can use the underlying
+    ``bytearray.find`` (memchr) even through a view.
     """
 
     __slots__ = ("data", "tags", "refcount", "version", "_tag_store",
-                 "_tag_base", "_perf")
+                 "_tag_base")
 
-    def __init__(self, page_size: int, granules: int,
-                 perf: Optional[bool] = None) -> None:
+    def __init__(self, page_size: int, granules: int) -> None:
         self.data = bytearray(page_size)
         self.tags = bytearray(granules)
         self.refcount = 1
@@ -85,12 +76,11 @@ class Frame:
         self.version = 0
         self._tag_store = self.tags
         self._tag_base = 0
-        self._perf = _perf.ENABLED if perf is None else bool(perf)
 
     @classmethod
     def _bank_view(cls, data_view, tags_view, tag_store: bytearray,
                    tag_base: int) -> "Frame":
-        """A frame windowing the banked store (flat representation)."""
+        """A frame windowing the banked store."""
         frame = object.__new__(cls)
         frame.data = data_view
         frame.tags = tags_view
@@ -98,7 +88,6 @@ class Frame:
         frame.version = 0
         frame._tag_store = tag_store
         frame._tag_base = tag_base
-        frame._perf = True
         return frame
 
     # -- byte access ---------------------------------------------------
@@ -107,23 +96,14 @@ class Frame:
         return bytes(self.data[offset:offset + size])
 
     def write(self, offset: int, data: bytes) -> None:
-        """Raw byte store: clears tags of every overlapped granule.
-
-        The batched path (:mod:`repro.perf`) clears the whole
-        overlapped granule run with one C-level slice store instead of
-        a Python loop; the cleared set is identical.
-        """
+        """Raw byte store: clears tags of every overlapped granule
+        (one C-level slice store over the granule run)."""
         self.version += 1
         self.data[offset:offset + len(data)] = data
         first = offset // CAP_SIZE
-        last = (offset + len(data) - 1) // CAP_SIZE
-        if self._perf:
-            count = last + 1 - first
-            if count > 0:
-                self.tags[first:last + 1] = _zeros(count)
-            return
-        for granule in range(first, last + 1):
-            self.tags[granule] = 0
+        count = (offset + len(data) - 1) // CAP_SIZE + 1 - first
+        if count > 0:
+            self.tags[first:first + count] = _zeros(count)
 
     # -- capability access -----------------------------------------------
 
@@ -158,26 +138,19 @@ class Frame:
     def tagged_granules(self) -> List[int]:
         """Offsets of granules currently holding valid capabilities.
 
-        The batched path scans the flat tag bitmap with
-        ``bytearray.find`` (a C memchr loop) instead of a Python
-        ``enumerate`` pass — on the common mostly-untagged frame this
-        is the relocation scan's hot loop.
+        Scans the flat tag bitmap with ``bytearray.find`` (a C memchr
+        loop) — on the common mostly-untagged frame this is the
+        relocation scan's hot loop.
         """
-        if self._perf:
-            out: List[int] = []
-            store = self._tag_store
-            base = self._tag_base
-            end = base + len(self.tags)
-            index = store.find(1, base, end)
-            while index >= 0:
-                out.append((index - base) * CAP_SIZE)
-                index = store.find(1, index + 1, end)
-            return out
-        return [
-            index * CAP_SIZE
-            for index, tag in enumerate(self.tags)
-            if tag
-        ]
+        out: List[int] = []
+        store = self._tag_store
+        base = self._tag_base
+        end = base + len(self.tags)
+        index = store.find(1, base, end)
+        while index >= 0:
+            out.append((index - base) * CAP_SIZE)
+            index = store.find(1, index + 1, end)
+        return out
 
     def clear_tags_range(self, lo_offset: int, hi_offset: int) -> None:
         """Clear the tags of every granule overlapping [lo, hi)."""
@@ -210,12 +183,8 @@ class Frame:
         self.data[:] = other.data
         if preserve_tags:
             self.tags[:] = other.tags
-        elif self._perf:
-            count = len(self.tags)
-            self.tags[:] = _zeros(count)
         else:
-            for index in range(len(self.tags)):
-                self.tags[index] = 0
+            self.tags[:] = _zeros(len(self.tags))
 
 
 class PhysicalMemory:
@@ -224,16 +193,11 @@ class PhysicalMemory:
     Observability: allocation/copy/free events are counted under
     ``hw.phys.*`` and the live frame count is kept in the
     ``hw.phys.allocated_frames`` gauge (see docs/OBSERVABILITY.md).
-
-    ``perf`` picks the storage representation (see module docstring);
-    ``None`` resolves the :mod:`repro.perf` master switch at
-    construction time — :class:`repro.machine.Machine` passes its own
-    resolved flag through so one machine never mixes representations.
     """
 
     def __init__(self, config: MachineConfig, costs: CostModel,
                  clock: SimClock, counters: EventCounters,
-                 obs=None, perf: Optional[bool] = None) -> None:
+                 obs=None) -> None:
         from repro.chaos.engine import NULL_CHAOS
         from repro.obs import NULL_OBS
         self._config = config
@@ -243,13 +207,11 @@ class PhysicalMemory:
         self._obs = obs if obs is not None else NULL_OBS
         #: fault injection hook (ChaosEngine.attach replaces the null)
         self.chaos = NULL_CHAOS
-        self._perf = _perf.enabled() if perf is None else bool(perf)
         self._frames: Dict[int, Frame] = {}
         self._free: List[int] = []
         self._next_frame = 1
         self._capacity_frames = config.dram_bytes // config.page_size
-        # flat representation: per-bank data/tag arenas plus hoisted
-        # memoryviews (slicing a memoryview is cheaper than taking a
+        # per-bank data/tag arenas plus hoisted memoryviews (slicing a memoryview is cheaper than taking a
         # fresh view of the bytearray per frame)
         self._data_banks: List[bytearray] = []
         self._tag_banks: List[bytearray] = []
@@ -273,9 +235,6 @@ class PhysicalMemory:
     # -- allocation ------------------------------------------------------
 
     def _make_frame(self, number: int) -> Frame:
-        if not self._perf:
-            return Frame(self._config.page_size,
-                         self._config.granules_per_page, perf=False)
         pooled = self._frame_pool.get(number)
         if pooled is not None:
             pooled.refcount = 1
@@ -341,10 +300,9 @@ class PhysicalMemory:
         frame = self.frame(number)
         frame.refcount -= 1
         if frame.refcount == 0:
-            if self._perf:
-                # the scrub is deferred to a later zero-allocation of
-                # this number (see ``_stale``)
-                self._stale.add(number)
+            # the scrub is deferred to a later zero-allocation of this
+            # number (see ``_stale``)
+            self._stale.add(number)
             del self._frames[number]
             self._free.append(number)
             self._counters.add("frames_freed")
@@ -364,7 +322,7 @@ class PhysicalMemory:
         injection, instrumented subclasses) the batch defers to it
         per number so the override observes every release.
         """
-        if not self._perf or type(self).decref is not _BASE_DECREF:
+        if type(self).decref is not _BASE_DECREF:
             for number in numbers:
                 self.decref(number)
             return
@@ -421,11 +379,11 @@ class PhysicalMemory:
     def cow_copy(self, src: int) -> int:
         """:meth:`copy_frame` ``(src, preserve_tags=True)`` with the
         allocation inlined — the CoW-break fast path.  Identical
-        accounting (capacity check, charge, counters, gauge); chaos or
-        the self-contained representation fall back to the layered
-        call so injected faults fire exactly as before.
+        accounting (capacity check, charge, counters, gauge); chaos
+        falls back to the layered call so injected faults fire exactly
+        as they would there.
         """
-        if not self._perf or self.chaos.enabled:
+        if self.chaos.enabled:
             return self.copy_frame(src, preserve_tags=True)
         frames = self._frames
         if len(frames) >= self._capacity_frames:
@@ -460,12 +418,11 @@ class PhysicalMemory:
         The copies, refcounts, capacity checks, clock charges and
         counter/observability totals are identical to calling
         :meth:`copy_frame` once per source; only the per-page Python
-        accounting is hoisted out of the loop.  With chaos enabled (or
-        the self-contained representation) it *is* that per-page loop,
-        so injected alloc failures and tag-clear faults fire with
-        exactly the per-page draw sequence.
+        accounting is hoisted out of the loop.  With chaos enabled it
+        *is* that per-page loop, so injected alloc failures and
+        tag-clear faults fire with exactly the per-page draw sequence.
         """
-        if not self._perf or self.chaos.enabled:
+        if self.chaos.enabled:
             return [self.copy_frame(src, preserve_tags, charge)
                     for src in srcs]
         frames = self._frames

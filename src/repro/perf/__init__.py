@@ -1,86 +1,31 @@
-"""Host-performance switchboard for the simulator's hot paths.
+"""Host performance of the simulator's hot paths.
 
-The reproduction reports *simulated* nanoseconds, but the ROADMAP also
-demands the simulator itself "run as fast as the hardware allows" —
-*host* time.  This package controls the host-side fast paths:
+The reproduction reports *simulated* nanoseconds; host time is what it
+costs to compute them.  The one memory engine (docs/ARCHITECTURE.md
+"Vectorized engine") is built for host speed:
 
 * the generation-stamped page-walk cache in
   :class:`repro.hw.paging.AddressSpace` (invalidated by PTE writes and
   TLB flushes/shootdowns);
 * the memoised capability encode/decode in
   :class:`repro.cheri.codec.CapabilityCodec`;
-* the batched granule-tag clear/scan in :class:`repro.hw.phys.Frame`;
+* the banked frame store and batched granule-tag clear/scan in
+  :mod:`repro.hw.phys`;
 * the syscall dispatch table in :class:`repro.kernel.base.AbstractOS`.
 
-Every fast path is **host-time only**: with optimisations on or off,
-the simulated clock, every counter, every golden export and every
-schedule decision are byte-identical.  The bench harness
-(:mod:`repro.perf.bench`) relies on that to measure honest
-before/after host-time deltas — it runs each microbenchmark once under
-:func:`perf_disabled` (the pre-optimisation code paths, kept intact)
-and once with the fast paths enabled, and asserts the simulated
-results match exactly.
-
-The flag is read at two granularities, both cheap:
-
-* **construction-time snapshot** — ``AddressSpace``, ``CapabilityCodec``
-  and ``AbstractOS`` capture :func:`enabled` when built, so their hot
-  paths pay no per-access flag check.  Toggling affects machines built
-  *afterwards* (the bench builds a fresh machine per mode).
-* **module-global check** — :class:`~repro.hw.phys.Frame` has no
-  machine reference, so its tag batching consults ``ENABLED`` live.
-
-``REPRO_PERF=0`` in the environment disables every fast path for a
-whole process (escape hatch for bisecting host-side bugs).
+None of these may change a simulated result: the golden digests in
+``tests/golden/twin_corpus.json`` and the dict reference model in
+``tests/mem_oracle.py`` pin that.  :mod:`repro.perf.bench` times the
+hot paths in host-normalised units.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
-#: master switch consulted by the hot paths (see module docstring)
-ENABLED: bool = os.environ.get("REPRO_PERF", "1") != "0"
-
 
 def enabled() -> bool:
-    """Are the host fast paths currently on?"""
-    return ENABLED
+    """Always True (there is one engine); kept because
+    ``perfbench/layers.py:engine_guards`` reads it."""
+    return True
 
 
-def set_enabled(value: bool) -> bool:
-    """Flip the master switch; returns the previous value."""
-    global ENABLED
-    previous = ENABLED
-    ENABLED = bool(value)
-    return previous
-
-
-@contextmanager
-def perf_disabled() -> Iterator[None]:
-    """Run a block on the pre-optimisation code paths (bench baseline)."""
-    previous = set_enabled(False)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
-
-
-@contextmanager
-def perf_enabled() -> Iterator[None]:
-    """Force the fast paths on inside a block (bench measured side)."""
-    previous = set_enabled(True)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
-
-
-__all__ = [
-    "ENABLED",
-    "enabled",
-    "set_enabled",
-    "perf_disabled",
-    "perf_enabled",
-]
+__all__ = ["enabled"]

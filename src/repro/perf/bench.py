@@ -1,50 +1,47 @@
-"""Host-time microbenchmarks for the :mod:`repro.perf` hot paths.
+"""Host-time microbenchmarks of the simulator's hot paths.
 
-Each microbenchmark drives the *same deterministic workload* twice on
-fresh machines: once with every :mod:`repro.perf` optimisation disabled
-(:func:`repro.perf.perf_disabled` — bit-for-bit the pre-optimisation
-code paths) and once with them enabled.  Because the optimisations are
-host-time only, both runs must land on the **identical simulated
-nanosecond count** — the bench asserts this, so a speedup that changed
-any simulated result fails loudly instead of silently corrupting the
-paper's numbers.
+Each microbenchmark drives a fixed deterministic workload on fresh
+machines: one untimed warm-up, then :data:`REPEATS` timed runs.  The
+row's ``optimized_s`` is the fastest timed run.  Host speed is divided
+out with a fixed pure-Python calibration kernel (:func:`calibration_kernel`)
+timed in the same process, interleaved with the workload runs; the
+row's ``units`` is ``optimized_s / calib_s``, a host-independent cost.
 
-The report (``BENCH_hotpath.json``, schema ``repro.perf/v1``) keeps
+Every run of a workload must land on the same simulated result (its
+``invariant``: the simulated clock, or a digest of the whole report);
+the driver asserts that across the warm-up and the timed runs.
+
+The report (``BENCH_hotpath.json``, schema ``repro.perf/v2``) keeps
 every wall-clock-dependent field inside per-benchmark ``host`` objects
 and the top-level ``host_meta`` object; everything else is a pure
 function of the seed, so two runs are byte-identical modulo those
 fields (tests/test_bench.py checks exactly this).
 
-CI gate: :func:`check_gate` fails when the optimised run exceeds
-``max_ratio`` × the baseline on any benchmark.  With the vectorized
-engine the bound is below 1: the optimised path must actually *beat*
-the self-contained baseline on every benchmark, not merely avoid
-regressing (current ratios run 0.19–0.75; the bound leaves noise
-margin over the weakest).
+Gate (``bench --check BASELINE``, :func:`check_gate`): a row fails
+when its ``invariant`` differs from the baseline's — a deterministic
+check that cannot flake on a slower runner — or when its ``units``
+exceed :data:`CROSS_RUN_RATIO` × the baseline's.  A baseline without
+calibrated units (schema ``repro.perf/v1``) fails the gate outright.
 """
 
 from __future__ import annotations
 
+import gc
+import heapq
 import json
 import platform
 import sys
 import time
 from typing import Any, Callable, Dict, List, Tuple
 
-from repro import perf as _perf
-
 #: report schema identifier
-SCHEMA = "repro.perf/v1"
+SCHEMA = "repro.perf/v2"
 
-#: CI regression bound: optimised wall time may not exceed
-#: ``baseline * MAX_RATIO`` — below 1.0, so the vectorized engine must
-#: beat the self-contained baseline outright on every benchmark
-MAX_RATIO = 0.90
+#: timed runs per benchmark after the warm-up; the fastest is recorded
+REPEATS = 3
 
-#: cross-*run* drift bound for ``bench --check``: today's optimised
-#: time may not exceed ``CROSS_RUN_RATIO`` × a previous report's.
-#: Separate from (and looser than) :data:`MAX_RATIO`, which compares
-#: within one run on one machine and so tolerates no machine noise.
+#: cross-run bound for ``bench --check``: a row's calibrated ``units``
+#: may not exceed ``CROSS_RUN_RATIO`` × the baseline report's
 CROSS_RUN_RATIO = 1.5
 
 
@@ -115,8 +112,7 @@ def _bench_fault_storm(rounds: int = 6, pages: int = 192,
     burst_bytes = b"\x3C" * 64
     # the driver uses the guest batch primitive (store_run) so the
     # measurement is the simulator's per-store cost, not the benchmark
-    # harness's; with perf disabled store_run degrades to the plain
-    # per-store loop, keeping both modes on the same simulated stream
+    # harness's
     store_run = parent.store_run
     offsets = [index * page for index in range(pages)]
     store_run(buf, seed_bytes, offsets)
@@ -165,8 +161,8 @@ def _bench_conform_explorer(budget: int = 24
     """A slice of the differential conformance explorer (no host
     oracle): scheduler picks, syscall dispatch and fork/exit churn
     across many short simulated runs.  The invariant is a digest of
-    the *whole* conformance report, so any perf-mode divergence in any
-    cell or explored schedule trips the cross-mode assertion."""
+    the *whole* conformance report, so a change in any cell or
+    explored schedule changes it."""
     import hashlib
 
     from repro.conform.runner import run_conform
@@ -190,8 +186,7 @@ def _bench_snapshot_restore(cycles: int = 4
     further restores of the same blob hammering the checkpoint/restore
     hot paths (page serialization, tag scans, capability re-minting).
     The invariant folds every simulated interval and the blob length
-    together, so a perf-mode divergence anywhere in the snapshot engine
-    trips the cross-mode assertion."""
+    together, so a change anywhere in the snapshot engine changes it."""
     from repro.apps.coldstart import coldstart_comparison, make_zygote_blob
     from repro.apps.guest import GuestContext
     from repro.core import CopyStrategy, UForkOS
@@ -226,19 +221,66 @@ BENCHMARKS: Dict[str, Callable[[], Tuple[int, Dict[str, Any]]]] = {
 
 
 # ---------------------------------------------------------------------------
+# Host calibration
+# ---------------------------------------------------------------------------
+
+class _Node:
+    __slots__ = ("key", "value", "links")
+
+    def __init__(self, key: int, value: int) -> None:
+        self.key = key
+        self.value = value
+        self.links: list = []
+
+
+def calibration_kernel() -> int:
+    """A fixed ~16 ms of interpreter work of the kind the simulator
+    does (dict and int arithmetic, small slotted objects, lists, a
+    heap); returns a checksum.  Never change it: every recorded
+    ``units`` value is relative to it.  It is the same kernel as the
+    end-to-end benchmark's host-speed reference
+    (``perfbench/hostspeed.py``), duplicated so the package does not
+    depend on the benchmark harness."""
+    acc, table, items = 0, {}, []
+    for i in range(20_000):
+        table[i & 1023] = acc
+        acc = (acc * 31 + i + table.get((i * 7) & 1023, 0)) & 0xFFFFFFFF
+        if not i & 63:
+            items.append(acc)
+    items.sort()
+
+    count = 12_000
+    nodes = [_Node(i, i * 3) for i in range(count)]
+    for i, node in enumerate(nodes):
+        node.links.append(nodes[(i * 7919) % count])
+    heap: list = []
+    buckets: dict = {}
+    for node in nodes:
+        for link in node.links:
+            acc = (acc + link.value) & 0xFFFFFFFF
+        heapq.heappush(heap, ((node.key * 2654435761) & 0xFFFF, node.key))
+        if len(heap) > 64:
+            heapq.heappop(heap)
+        buckets.setdefault(node.key & 255, []).append(node)
+    return acc ^ len(buckets) ^ heap[0][1]
+
+
+def _timed(work: Callable[[], Any]) -> Tuple[float, Any]:
+    # start every sample from the same heap state: a previous run's
+    # cyclic garbage (whole machines) is not collected on our clock
+    gc.collect()
+    started = time.perf_counter()
+    result = work()
+    return time.perf_counter() - started, result
+
+
+# ---------------------------------------------------------------------------
 # The driver
 # ---------------------------------------------------------------------------
 
-def _timed(workload: Callable[[], Tuple[int, Dict[str, Any]]]
-           ) -> Tuple[float, int, Dict[str, Any]]:
-    started = time.perf_counter()
-    simulated, config = workload()
-    return time.perf_counter() - started, simulated, config
-
-
 def run_benchmarks(names: List[str] = None,
                    verbose: bool = True) -> Dict[str, Any]:
-    """Run each benchmark in both modes and build the report dict."""
+    """Run each benchmark and build the report dict."""
     chosen = names or list(BENCHMARKS)
     unknown = [name for name in chosen if name not in BENCHMARKS]
     if unknown:
@@ -248,36 +290,40 @@ def run_benchmarks(names: List[str] = None,
     for name in chosen:
         workload = BENCHMARKS[name]
         # untimed warm-up: pays one-time host costs (module imports,
-        # bytecode compilation) so neither timed run is charged for them
-        with _perf.perf_disabled():
-            workload()
-        with _perf.perf_disabled():
-            base_s, base_sim, config = _timed(workload)
-        with _perf.perf_enabled():
-            opt_s, opt_sim, _ = _timed(workload)
-        if base_sim != opt_sim:
-            raise AssertionError(
-                f"{name}: simulated results diverged across perf modes "
-                f"({base_sim} disabled vs {opt_sim} enabled) — a perf "
-                f"optimisation changed simulated behavior")
+        # bytecode compilation) so no timed run is charged for them
+        invariant, config = workload()
+        runs = []
+        calib = []
+        for _ in range(REPEATS):
+            calib.append(_timed(calibration_kernel)[0])
+            seconds, (simulated, _config) = _timed(workload)
+            if simulated != invariant:
+                raise AssertionError(
+                    f"{name}: simulated result diverged across repeated "
+                    f"runs ({invariant} then {simulated}) — host state "
+                    f"leaked into the simulation")
+            runs.append(seconds)
+        calib.append(_timed(calibration_kernel)[0])
+        optimized_s = min(runs)
+        calib_s = min(calib)
         row = {
             "name": name,
             "config": config,
             #: deterministic integer digest of the run's *simulated*
             #: results — the simulated clock for machine benches, a
-            #: report digest for the explorer; equal across perf modes
-            "invariant": base_sim,
+            #: report digest for the explorer
+            "invariant": invariant,
             "host": {
-                "baseline_s": round(base_s, 6),
-                "optimized_s": round(opt_s, 6),
-                "speedup": round(base_s / opt_s, 3) if opt_s else 0.0,
+                "calib_s": round(calib_s, 6),
+                "optimized_s": round(optimized_s, 6),
+                "units": round(optimized_s / calib_s, 4),
             },
         }
         rows.append(row)
         if verbose:
-            print(f"  {name:<20} baseline {base_s:7.3f}s   "
-                  f"optimized {opt_s:7.3f}s   "
-                  f"speedup {row['host']['speedup']:5.2f}x")
+            print(f"  {name:<20} optimized {optimized_s:7.3f}s   "
+                  f"calib {calib_s * 1e3:6.2f}ms   "
+                  f"units {row['host']['units']:8.3f}")
     return {
         "schema": SCHEMA,
         "benchmarks": rows,
@@ -300,18 +346,33 @@ def strip_wallclock(report: Dict[str, Any]) -> Dict[str, Any]:
     return stable
 
 
-def check_gate(report: Dict[str, Any],
-               max_ratio: float = MAX_RATIO) -> List[str]:
-    """Regression gate: the failures list is empty when every
-    optimised run stays within ``max_ratio`` × its baseline."""
+def check_gate(report: Dict[str, Any], baseline: Dict[str, Any],
+               ratio: float = CROSS_RUN_RATIO) -> List[str]:
+    """Regression gate against a previous report; the failures list is
+    empty when every row shared with ``baseline`` has the same
+    ``invariant`` and at most ``ratio`` × its calibrated ``units``."""
+    prior = {row["name"]: row for row in baseline.get("benchmarks", [])}
+    if baseline.get("schema") != SCHEMA or any(
+            "units" not in row.get("host", {}) for row in prior.values()):
+        return [f"baseline has no calibrated units (schema "
+                f"{baseline.get('schema')!r}, need {SCHEMA!r}); "
+                f"regenerate it with `python -m repro.harness bench`"]
     failures = []
     for row in report["benchmarks"]:
-        host = row["host"]
-        if host["optimized_s"] > host["baseline_s"] * max_ratio:
+        before = prior.get(row["name"])
+        if before is None:
+            continue
+        if row["invariant"] != before["invariant"]:
             failures.append(
-                f"{row['name']}: optimized {host['optimized_s']:.3f}s "
-                f"exceeds baseline {host['baseline_s']:.3f}s "
-                f"x {max_ratio}")
+                f"{row['name']}: invariant {row['invariant']} differs "
+                f"from the baseline's {before['invariant']} — a "
+                f"simulated result changed")
+        now = row["host"]["units"]
+        then = before["host"]["units"]
+        if now > then * ratio:
+            failures.append(
+                f"{row['name']}: {now:.3f} units regressed "
+                f">{ratio}x vs the baseline's {then:.3f}")
     return failures
 
 
@@ -321,10 +382,11 @@ def diff_reports(before: Dict[str, Any],
 
     The CI bench job uploads this as its review artifact: for every
     benchmark present in either report it records both runs' host
-    times and the speedup delta, so a PR's effect on the hot paths is
-    readable without re-running anything.  Benchmarks present on only
-    one side are kept with the other side ``None`` (added/removed
-    benchmarks are part of the diff, not an error).
+    objects and, when both sides carry calibrated units, their ratio,
+    so a PR's effect on the hot paths is readable without re-running
+    anything.  Benchmarks present on only one side are kept with the
+    other side ``None`` (added/removed benchmarks are part of the diff,
+    not an error).
     """
     prior = {row["name"]: row for row in before.get("benchmarks", [])}
     current = {row["name"]: row for row in after.get("benchmarks", [])}
@@ -338,13 +400,12 @@ def diff_reports(before: Dict[str, Any],
             "before": None if old is None else dict(old["host"]),
             "after": None if new is None else dict(new["host"]),
         }
-        if old is not None and new is not None:
-            row["speedup_delta"] = round(
-                new["host"]["speedup"] - old["host"]["speedup"], 3)
-            row["optimized_ratio"] = round(
-                new["host"]["optimized_s"] / old["host"]["optimized_s"], 3)
+        if old is not None and new is not None and \
+                "units" in old["host"] and "units" in new["host"]:
+            row["units_ratio"] = round(
+                new["host"]["units"] / old["host"]["units"], 3)
         rows.append(row)
-    return {"schema": "repro.perf.diff/v1", "benchmarks": rows}
+    return {"schema": "repro.perf.diff/v2", "benchmarks": rows}
 
 
 def write_report(report: Dict[str, Any], path: str) -> None:

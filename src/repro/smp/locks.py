@@ -15,17 +15,14 @@ all pre-SMP goldens bit-identical.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator, Optional
-
-from repro import perf as _perf
+from typing import Any, Optional
 
 
 class _HeldGuard:
-    """Preallocated ``held()`` guard: same acquire/irq/release sequence
-    as the contextmanager path (including the exception path) without
-    creating a generator + wrapper object per critical section.  The
-    guard is stateless, so one instance per lock is safe."""
+    """Preallocated ``held()`` guard: acquire, IRQs off, then IRQs on
+    and release — on the exception path too — without creating a
+    generator + wrapper object per critical section.  The guard is
+    stateless, so one instance per lock is safe."""
 
     __slots__ = ("lock",)
 
@@ -82,19 +79,7 @@ class SpinLock:
     def held(self) -> Any:
         """``spin_lock_irqsave``-style guard: the lock plus an
         IRQ-disable section, released even on the error path."""
-        if _perf.ENABLED:
-            return self._guard
-        return self._held_slow()
-
-    @contextmanager
-    def _held_slow(self) -> Iterator[None]:
-        self.acquire()
-        self.machine.irq_depth += 1
-        try:
-            yield
-        finally:
-            self.machine.irq_depth -= 1
-            self.release()
+        return self._guard
 
 
 class IrqGuard:

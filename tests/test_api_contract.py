@@ -8,7 +8,6 @@ intentional changes must update both the facade and these snapshots.
 """
 
 import inspect
-import warnings
 
 import pytest
 
@@ -23,8 +22,6 @@ class TestSurface:
             "STRATEGIES",
             "ISOLATIONS",
             "Session",
-            "Machine",
-            "make_scheduler",
         ]
         for name in api.__all__:
             assert hasattr(api, name), f"__all__ lists missing {name}"
@@ -51,23 +48,16 @@ class TestSurface:
             "seed": 7,
             "obs": False,
             "chaos": None,
-            "perf": None,
         }
 
-    def test_perf_knob_pins_representation(self):
-        # tri-state: True/False force a representation, None (default)
-        # follows the REPRO_PERF environment resolution
-        from repro import perf as _perf
-        fast = Session(seed=7, perf=True).boot()
-        slow = Session(seed=7, perf=False).boot()
-        env = Session(seed=7).boot()
-        assert fast.machine.perf is True
-        assert slow.machine.perf is False
-        assert env.machine.perf is _perf.enabled()
-        # the knob reaches the storage layer: flat banked frames only
-        # under the vectorized engine
-        assert fast.machine.phys._perf is True
-        assert slow.machine.phys._perf is False
+    def test_one_memory_engine(self):
+        # there is no representation knob: every session runs the one
+        # engine, and the read-only engine facts stay constant
+        from repro import perf
+        with pytest.raises(TypeError):
+            Session(perf=False)
+        assert Session(seed=7).boot().machine.perf is True
+        assert perf.enabled() is True
 
     def test_session_method_signatures(self):
         spawn = inspect.signature(Session.spawn).parameters
@@ -178,18 +168,18 @@ class TestBehavior:
         restored.exit(0)
 
 
-class TestDeprecationShims:
-    def test_machine_shim_warns_and_forwards(self):
-        from repro.machine import Machine as RealMachine
-        with pytest.warns(DeprecationWarning, match="Session"):
-            machine = api.Machine(seed=3)
-        assert isinstance(machine, RealMachine)
+class TestRemovedShims:
+    # repro.api.Machine / repro.api.make_scheduler were deprecation
+    # shims; the low-level constructors stay where they live
 
-    def test_make_scheduler_shim_warns_and_forwards(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            machine = api.Machine()
-        with pytest.warns(DeprecationWarning, match="Session.boot"):
-            scheduler = api.make_scheduler(machine,
-                                           same_address_space=True)
-        assert hasattr(scheduler, "pick_next")
+    def test_machine_shim_is_gone(self):
+        from repro.machine import Machine
+        assert not hasattr(api, "Machine")
+        assert "Machine" not in api.__all__
+        assert callable(Machine)
+
+    def test_make_scheduler_shim_is_gone(self):
+        from repro.kernel.sched import make_scheduler
+        assert not hasattr(api, "make_scheduler")
+        assert "make_scheduler" not in api.__all__
+        assert callable(make_scheduler)

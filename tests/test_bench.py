@@ -6,7 +6,9 @@ same driver machinery) and unit-test the gate/determinism logic on
 synthetic reports.
 """
 
+import importlib.util
 import json
+import pathlib
 
 import pytest
 
@@ -61,14 +63,16 @@ class TestRunBenchmarks:
             bench.BENCHMARKS["pipe_pingpong"] = original
 
     def test_schema_and_shape(self, report):
-        assert report["schema"] == bench.SCHEMA
+        assert report["schema"] == bench.SCHEMA == "repro.perf/v2"
         (row,) = report["benchmarks"]
         assert row["name"] == "pipe_pingpong"
         assert row["config"] == {"transfers": 8, "chunk": 512}
         assert row["invariant"] > 0
         host = row["host"]
-        assert set(host) == {"baseline_s", "optimized_s", "speedup"}
-        assert host["baseline_s"] > 0 and host["optimized_s"] > 0
+        assert set(host) == {"calib_s", "optimized_s", "units"}
+        assert host["calib_s"] > 0 and host["optimized_s"] > 0
+        assert host["units"] == pytest.approx(
+            host["optimized_s"] / host["calib_s"], rel=1e-3)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError, match="unknown benchmark"):
@@ -97,82 +101,154 @@ class TestRunBenchmarks:
         # json-serializable without help
         json.dumps(stable)
 
+    def test_divergence_across_repeats_is_fatal(self, monkeypatch):
+        # a "benchmark" whose simulated result leaks host state from
+        # one run into the next must crash the driver, not report
+        calls = []
+
+        def _leaky():
+            calls.append(None)
+            return len(calls), {}
+
+        monkeypatch.setitem(bench.BENCHMARKS, "diverge", _leaky)
+        with pytest.raises(AssertionError, match="diverged"):
+            bench.run_benchmarks(names=["diverge"], verbose=False)
+
+
+class TestCalibration:
+    def test_kernel_mirrors_the_end_to_end_reference(self):
+        # the same fixed work as the end-to-end benchmark's host-speed
+        # reference, so both tiers divide out the same host speed
+        path = (pathlib.Path(__file__).parent.parent / "perfbench"
+                / "hostspeed.py")
+        spec = importlib.util.spec_from_file_location("_hostspeed", path)
+        hostspeed = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(hostspeed)
+        assert bench.calibration_kernel() == hostspeed.reference_kernel()
+
 
 class TestCheckGate:
     @staticmethod
-    def _report(baseline_s, optimized_s):
-        return {"schema": bench.SCHEMA, "benchmarks": [{
-            "name": "synthetic", "config": {}, "invariant": 1,
-            "host": {"baseline_s": baseline_s,
-                     "optimized_s": optimized_s,
-                     "speedup": baseline_s / optimized_s},
+    def _report(units, invariant=1, name="synthetic",
+                schema=bench.SCHEMA, calib_s=0.01):
+        return {"schema": schema, "benchmarks": [{
+            "name": name, "config": {}, "invariant": invariant,
+            "host": {"calib_s": calib_s,
+                     "optimized_s": units * calib_s,
+                     "units": units},
         }]}
 
     def test_passes_within_ratio(self):
-        assert bench.check_gate(self._report(1.0, 0.85)) == []
-        assert bench.check_gate(self._report(1.0, 0.4)) == []
-
-    def test_gate_requires_outright_speedup(self):
-        # MAX_RATIO < 1: merely matching the baseline now fails
-        assert bench.MAX_RATIO < 1.0
-        failures = bench.check_gate(self._report(1.0, 1.0))
-        assert len(failures) == 1
-        assert "synthetic" in failures[0]
+        baseline = self._report(10.0)
+        assert bench.check_gate(self._report(10.0), baseline) == []
+        assert bench.check_gate(self._report(14.9), baseline) == []
+        assert bench.check_gate(self._report(3.0), baseline) == []
 
     def test_fails_beyond_ratio(self):
-        failures = bench.check_gate(self._report(1.0, 1.3))
+        failures = bench.check_gate(self._report(15.1), self._report(10.0))
         assert len(failures) == 1
-        assert "synthetic" in failures[0]
+        assert "synthetic" in failures[0] and "units" in failures[0]
 
     def test_custom_ratio(self):
-        assert bench.check_gate(self._report(1.0, 1.05),
-                                max_ratio=1.01) != []
+        assert bench.check_gate(self._report(10.5), self._report(10.0),
+                                ratio=1.01) != []
 
-    def test_cross_run_ratio_is_looser_than_gate(self):
-        # run-to-run drift (different machines, different load) needs
-        # headroom the within-run gate must not have
-        assert bench.CROSS_RUN_RATIO > 1.0 > bench.MAX_RATIO
+    def test_slower_host_does_not_fail(self):
+        # twice the seconds on a host twice as slow: same units, pass
+        slow = self._report(10.0, calib_s=0.02)
+        assert slow["benchmarks"][0]["host"]["optimized_s"] == 0.2
+        assert bench.check_gate(slow, self._report(10.0)) == []
+
+    def test_invariant_change_fails(self):
+        failures = bench.check_gate(self._report(10.0, invariant=2),
+                                    self._report(10.0, invariant=1))
+        assert len(failures) == 1
+        assert "invariant" in failures[0]
+
+    def test_v1_baseline_without_units_fails(self):
+        v1 = {"schema": "repro.perf/v1", "benchmarks": [{
+            "name": "synthetic", "config": {}, "invariant": 1,
+            "host": {"baseline_s": 1.0, "optimized_s": 0.5,
+                     "speedup": 2.0}}]}
+        (failure,) = bench.check_gate(self._report(10.0), v1)
+        assert "no calibrated units" in failure
+        assert "repro.perf/v1" in failure
+
+    def test_unmatched_rows_are_skipped(self):
+        assert bench.check_gate(self._report(99.0, name="new"),
+                                self._report(1.0, name="old")) == []
 
 
 class TestDiffReports:
     @staticmethod
-    def _report(name, baseline_s, optimized_s):
+    def _report(name, units, calib_s=0.01):
         return {"schema": bench.SCHEMA, "benchmarks": [{
             "name": name, "config": {}, "invariant": 1,
-            "host": {"baseline_s": baseline_s,
-                     "optimized_s": optimized_s,
-                     "speedup": round(baseline_s / optimized_s, 3)},
+            "host": {"calib_s": calib_s, "optimized_s": units * calib_s,
+                     "units": units},
         }]}
 
     def test_pairs_by_name(self):
-        diff = bench.diff_reports(self._report("a", 1.0, 0.5),
-                                  self._report("a", 1.0, 0.25))
-        assert diff["schema"] == "repro.perf.diff/v1"
+        diff = bench.diff_reports(self._report("a", 10.0),
+                                  self._report("a", 5.0))
+        assert diff["schema"] == "repro.perf.diff/v2"
         (row,) = diff["benchmarks"]
         assert row["name"] == "a"
-        assert row["before"]["optimized_s"] == 0.5
-        assert row["after"]["optimized_s"] == 0.25
-        assert row["speedup_delta"] == 2.0
-        assert row["optimized_ratio"] == 0.5
+        assert row["before"]["units"] == 10.0
+        assert row["after"]["units"] == 5.0
+        assert row["units_ratio"] == 0.5
 
     def test_added_and_removed_benchmarks_survive(self):
-        diff = bench.diff_reports(self._report("old", 1.0, 0.5),
-                                  self._report("new", 1.0, 0.5))
+        diff = bench.diff_reports(self._report("old", 1.0),
+                                  self._report("new", 1.0))
         rows = {row["name"]: row for row in diff["benchmarks"]}
         assert rows["old"]["after"] is None
         assert rows["new"]["before"] is None
-        assert "speedup_delta" not in rows["old"]
+        assert "units_ratio" not in rows["old"]
 
 
-class TestCrossModeInvariant:
-    def test_divergence_is_fatal(self, monkeypatch):
-        # a "benchmark" whose simulated result depends on the perf mode
-        # must crash the driver, not produce a report
-        from repro import perf
+# ---------------------------------------------------------------------------
+# the bench CLI
+# ---------------------------------------------------------------------------
 
-        def _mode_dependent():
-            return (1 if perf.ENABLED else 2), {}
+class TestBenchCli:
+    def test_unknown_only_name_is_a_usage_error(self, capsys):
+        from repro.harness.__main__ import main
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--only", "nope"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nope'" in err
+        for name in bench.BENCHMARKS:
+            assert name in err
 
-        monkeypatch.setitem(bench.BENCHMARKS, "diverge", _mode_dependent)
-        with pytest.raises(AssertionError, match="diverged"):
-            bench.run_benchmarks(names=["diverge"], verbose=False)
+    def test_check_against_v1_baseline_fails(self, tmp_path, capsys,
+                                             monkeypatch):
+        from repro.harness.__main__ import main
+        monkeypatch.setitem(bench.BENCHMARKS, "pipe_pingpong",
+                            _tiny_pingpong)
+        baseline = tmp_path / "v1.json"
+        reportio.write_report({"schema": "repro.perf/v1", "benchmarks": [{
+            "name": "pipe_pingpong", "config": {}, "invariant": 1,
+            "host": {"baseline_s": 1.0, "optimized_s": 0.5,
+                     "speedup": 2.0}}]}, str(baseline))
+        code = main(["bench", "--only", "pipe_pingpong", "--check",
+                     str(baseline), "--json", str(tmp_path / "out.json")])
+        assert code == 1
+        assert "no calibrated units" in capsys.readouterr().err
+
+    def test_check_against_own_report_passes(self, tmp_path, monkeypatch):
+        from repro.harness.__main__ import main
+        monkeypatch.setitem(bench.BENCHMARKS, "pipe_pingpong",
+                            _tiny_pingpong)
+        first = tmp_path / "first.json"
+        assert main(["bench", "--only", "pipe_pingpong",
+                     "--json", str(first)]) == 0
+        baseline = reportio.load_report(str(first))
+        # a generous units bound: this gate is about the invariant and
+        # the wiring, not this host's noise
+        baseline["benchmarks"][0]["host"]["units"] *= 100
+        reportio.write_report(baseline, str(first))
+        assert main(["bench", "--only", "pipe_pingpong", "--check",
+                     str(first), "--json",
+                     str(tmp_path / "second.json")]) == 0

@@ -1,12 +1,13 @@
 """The memory API boundary is enforced, not aspirational.
 
 The vectorized engine (docs/ARCHITECTURE.md "Vectorized engine") keeps
-two storage representations behind one narrow surface on
-:class:`~repro.hw.paging.PageTable`/:class:`~repro.hw.paging.AddressSpace`
+its storage representation behind one narrow surface on
+:class:`~repro.hw.paging.FlatPageTable`/:class:`~repro.hw.paging.AddressSpace`
 and :class:`~repro.hw.phys.PhysicalMemory`/:class:`~repro.hw.phys.Frame`.
 That only stays true if no caller outside ``repro.hw`` (and the
-layout-owning ``repro.mem``) reaches into the representation: a dict
-of PTE objects or a flat chunked array must be a private detail.
+layout-owning ``repro.mem``) reaches into the representation: the
+chunked PTE arrays and the banked frame arenas must be a private
+detail.
 
 This test greps the source tree for the representation attributes;
 anything it finds must either move to the public bulk interface

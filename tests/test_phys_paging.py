@@ -154,13 +154,22 @@ class TestPhysicalMemory:
 class TestFrameNumberChurn:
     """Frame numbers are never double-issued, whatever the free/alloc
     interleaving — a regression net over the free list, the deferred
-    scrub set and the frame-object pool, which all key on numbers."""
+    scrub set and the frame-object pool, which all key on numbers.
 
-    @pytest.mark.parametrize("perf", [False, True])
-    def test_heavy_churn_never_double_issues(self, perf):
+    ``layered`` attaches a chaos engine that never fires: ``cow_copy``
+    and ``copy_frames`` then take the per-page ``copy_frame``/``alloc``
+    fallback instead of their inlined fast paths, so both allocation
+    paths are churned."""
+
+    @pytest.mark.parametrize("layered", [False, True])
+    def test_heavy_churn_never_double_issues(self, layered):
         import random
 
-        machine = Machine(seed=1, perf=perf)
+        from repro.chaos.engine import ChaosEngine
+
+        machine = Machine(seed=1)
+        if layered:
+            ChaosEngine(seed=1).attach(machine)
         phys = machine.phys
         rng = random.Random(20250808)
         live = {}  # number -> remaining references we hold

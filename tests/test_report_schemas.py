@@ -84,7 +84,7 @@ FACTORIES = {
     "repro.chaos/v1": _chaos_engine_report,
     "repro.chaos.run/v1": _chaos_run_report,
     "repro.conform/v1": _conform_report,
-    "repro.perf/v1": _perf_report,
+    "repro.perf/v2": _perf_report,
     "repro.cluster/v1": _cluster_report,
     "repro.smp.run/v1": _smp_report,
     "repro.snapshot.run/v1": _snapshot_report,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import pytest
 
 import repro.conform.isolated as promoted_isolated
-import tests.isolated as shim_isolated
 from repro.apps.guest import GuestContext
 from repro.apps.hello import hello_world_image
 from repro.cheri.capability import Capability, Perm
@@ -209,7 +208,7 @@ def test_provenance_of_live_dead_and_forged_spans():
 
 
 # ---------------------------------------------------------------------------
-# Conform wiring: probe scenarios + the isolated shim surface
+# Conform wiring: probe scenarios + the isolated helper surface
 # ---------------------------------------------------------------------------
 
 def test_farm_plans_the_sec_corpus():
@@ -256,12 +255,11 @@ def test_runner_accepts_sec_scenarios_without_the_host_oracle():
     assert report["totals"]["violations"] == 0
 
 
-def test_isolated_shim_surface_is_pinned():
-    """Satellite (c): the promoted module declares its public surface
-    and the tests/ shim re-exports exactly that — name-for-name,
-    object-for-object — so the two can never drift again."""
-    assert promoted_isolated.__all__ == shim_isolated.__all__
+def test_isolated_surface_is_pinned():
+    """The isolation helper's declared public surface is exactly what
+    the farm and the host-oracle tests import, and every name in it
+    resolves."""
+    assert promoted_isolated.__all__ == [
+        "REPO_SRC", "IsolatedProcess", "IsolatedResult", "run_isolated"]
     for name in promoted_isolated.__all__:
-        ours = getattr(shim_isolated, name)
-        theirs = getattr(promoted_isolated, name)
-        assert ours is theirs or ours == theirs, name
+        assert getattr(promoted_isolated, name) is not None, name
