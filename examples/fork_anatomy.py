@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Anatomy of a μFork: where the microseconds go.
 
-Uses the simulated clock's attribution buckets and the structured
-tracer to break one fork down into its mechanism costs — the numbers
+Uses the simulated clock's attribution buckets and the observability
+counters to break one fork down into its mechanism costs — the numbers
 behind Figs 4 and 8 — at three database sizes.
 
 Run:  python examples/fork_anatomy.py
@@ -11,7 +11,6 @@ Run:  python examples/fork_anatomy.py
 from repro.api import Session
 from repro.apps.redis import MiniRedis, populate, redis_image
 from repro.mem.layout import KiB, MiB
-from repro.trace import attach_tracer
 
 BUCKETS = (
     ("fork_fixed", "fixed path (VA reserve, task, PID, registers)"),
@@ -27,8 +26,7 @@ BUCKETS = (
 
 def dissect(db_bytes: int) -> None:
     session = Session(os="ufork", strategy="copa",
-                      isolation="fault", seed=0).boot()
-    tracer = attach_tracer(session.machine)
+                      isolation="fault", seed=0, obs=True).boot()
     store = MiniRedis(
         session.spawn(redis_image(db_bytes), "redis"),
         nbuckets=max(64, db_bytes // (100 * KiB) * 2),
@@ -37,7 +35,8 @@ def dissect(db_bytes: int) -> None:
 
     clock = session.machine.clock
     clock.reset_buckets()
-    tracer.clear()
+    obs = session.machine.obs
+    obs.reset()
     with clock.measure() as watch:
         child = store.ctx.fork()
 
@@ -53,8 +52,9 @@ def dissect(db_bytes: int) -> None:
     other = watch.elapsed_ns - accounted
     if other > 0:
         print(f"  {other / 1000:9.1f} us  {100 * other / watch.elapsed_ns:5.1f}%  (other)")
-    eager = tracer.count("fork_page_copy", eager=True)
-    relocated = sum(e.get("caps") for e in tracer.query("relocate_frame"))
+    counters = obs.registry.counters()
+    eager = counters.get("core.strategies.eager_page_copies", 0)
+    relocated = counters.get("core.relocate.caps_relocated", 0)
     print(f"  -> {eager} pages copied eagerly, "
           f"{relocated} capabilities relocated at fork time")
 

@@ -197,8 +197,7 @@ class ChaosEngine:
         self.fired[point] = self.fired.get(point, 0) + 1
         self.injections.append((point, index))
         self._count(f"chaos.injected.{point}")
-        if self.machine is not None:
-            self.machine.trace("chaos_inject", point=point, hit=index)
+        self._count("trace.chaos_inject")
         return True
 
     def note_recovery(self, point: str) -> None:

@@ -27,7 +27,8 @@ class SimClock:
     ``observer`` is the hook the observability layer
     (:mod:`repro.obs`) installs while enabled: every advance is
     mirrored as ``observer(ns, bucket)``.  A ``None`` observer costs
-    one attribute check per advance — the same contract as tracing.
+    one attribute check per advance.  Batched engine paths that bump
+    ``_now_ns`` directly call the observer once with their total.
     """
 
     def __init__(self) -> None:

@@ -113,8 +113,7 @@ def migrate(os: Any, proc: Process) -> int:
     )
     proc.allocator.attach_lazy()
     machine.counters.add("migrations")
-    machine.trace("migrate", pid=proc.pid, old_base=old_base,
-                  new_base=new_base, pages=len(moved))
+    machine.obs.count("trace.migrate")
     record_flow(machine, "migrate", proc.pid, proc.pid,
                 proc.region_base, proc.region_top)
     return new_base

@@ -103,7 +103,7 @@ def relocate_frame(machine: Any, frame: Frame, regions: RegionPair) -> int:
     if relocated:
         machine.counters.add("caps_relocated", relocated)
         obs.count("core.relocate.caps_relocated", relocated)
-        machine.trace("relocate_frame", caps=relocated)
+        obs.count("trace.relocate_frame")
     return relocated
 
 
@@ -115,15 +115,15 @@ def relocate_frames(machine: Any, frames: List[Frame],
     frame: the per-frame page-scan charge and sweep counts are batched
     into single sum-equal updates when the scan cost is integral (the
     charges round identically per frame, and counters/metrics record
-    pure sums).  Falls back to the per-frame loop whenever batching
-    could be observable (tracer attached or non-integral scan cost).
+    pure sums).  Falls back to the per-frame loop when the scan cost is
+    non-integral (per-frame rounding would then differ from the sum).
     """
     count = len(frames)
     if count == 0:
         return 0
     config = machine.config
     scan_ns = machine.costs.page_scan_ns(config.page_size, config.granule)
-    if machine.tracer is not None or scan_ns != int(scan_ns):
+    if scan_ns != int(scan_ns):
         total = 0
         for frame in frames:
             total += relocate_frame(machine, frame, regions)
@@ -165,8 +165,8 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: List[int],
     Charge/counter parity: the per-frame scan charge and sweep counts
     are batched exactly as in :func:`relocate_frames`; memo-hit frames
     batch their ``cap_relocate_ns`` charges into one sum-equal advance
-    (integral cost pre-checked — non-integral costs or an attached
-    tracer take the per-frame path).
+    (integral cost pre-checked — non-integral costs take the per-frame
+    path).
     """
     count = len(dsts)
     if count == 0:
@@ -174,8 +174,7 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: List[int],
     config = machine.config
     scan_ns = machine.costs.page_scan_ns(config.page_size, config.granule)
     per_cap = machine.costs.cap_relocate_ns
-    if machine.tracer is not None or scan_ns != int(scan_ns) or \
-            per_cap != int(per_cap):
+    if scan_ns != int(scan_ns) or per_cap != int(per_cap):
         total = 0
         for dst in dsts:
             total += relocate_frame(machine, phys.frame(dst), regions)

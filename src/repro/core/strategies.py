@@ -131,8 +131,8 @@ def setup_shared_pages(space: AddressSpace, items, delta_pages: int,
     child side (sharing a single interned :class:`ShareNote` — notes
     are never mutated, only replaced), parent protection is applied
     in place, and the per-page PTE charges are batched as sum-equal
-    totals.  The caller guarantees the PTE costs are integral, no
-    tracer is attached, and chaos is off.
+    totals.  The caller guarantees the PTE costs are integral and
+    chaos is off.
 
     Parent vpns newly write-protected are appended to ``newly_shared``
     as ints (fork rollback resolves them through the space).
@@ -207,8 +207,7 @@ def copy_page_for_child(space: AddressSpace, child_vpn: int,
     machine.counters.add("fork_page_copies")
     machine.obs.count("core.strategies.eager_page_copies" if map_new
                       else "core.strategies.fault_page_copies")
-    machine.trace("fork_page_copy", vpn=child_vpn,
-                  eager=map_new)
+    machine.obs.count("trace.fork_page_copy")
 
 
 def handle_fork_fault(space: AddressSpace, vaddr: int,
@@ -229,10 +228,11 @@ def handle_fork_fault(space: AddressSpace, vaddr: int,
             return False  # parent reads never fault under either strategy
         _make_private(space, vpn, relocate=False, note=note)
         machine.counters.add("fork_parent_cow_break")
-        if machine.tracer is not None or machine.obs.enabled:
-            machine.obs.count(
+        obs = machine.obs
+        if obs.enabled:
+            obs.count(
                 f"core.strategies.{note.strategy.value}.break.parent.write")
-            machine.trace("cow_break", role="parent", vpn=vpn)
+            obs.count("trace.cow_break")
         return True
 
     # child side: writes always break; reads/exec/cap-loads depend on strategy
@@ -253,11 +253,11 @@ def handle_fork_fault(space: AddressSpace, vaddr: int,
         counter = f"fork_child_break_{kind.name.lower()}"
         _CHILD_BREAK_COUNTER[kind] = counter
     machine.counters.add(counter)
-    if machine.tracer is not None or machine.obs.enabled:
-        machine.obs.count(f"core.strategies.{note.strategy.value}"
-                          f".break.child.{kind.name.lower()}")
-        machine.trace("cow_break", role="child", vpn=vpn,
-                      kind=kind.name.lower())
+    obs = machine.obs
+    if obs.enabled:
+        obs.count(f"core.strategies.{note.strategy.value}"
+                  f".break.child.{kind.name.lower()}")
+        obs.count("trace.cow_break")
     return True
 
 
@@ -267,8 +267,8 @@ def handle_fork_write_run(space: AddressSpace, vpns) -> bool:
 
     Commits only when EVERY vpn is a clean ShareNote write-break whose
     restored permissions allow the write; anything else (foreign notes,
-    genuinely read-only pages, imminent frame exhaustion, chaos, a
-    tracer, non-integral costs) returns False with no state touched,
+    genuinely read-only pages, imminent frame exhaustion, chaos, SMP,
+    non-integral costs) returns False with no state touched,
     and the per-op loop reproduces the exact fault/exception sequence.
 
     Simulated-identical to faulting the pages one at a time in order:
@@ -280,8 +280,7 @@ def handle_fork_write_run(space: AddressSpace, vpns) -> bool:
     gauge.
     """
     machine = space.machine
-    if machine.tracer is not None or machine.chaos.enabled \
-            or machine.num_cpus > 1:
+    if machine.chaos.enabled or machine.num_cpus > 1:
         return False  # SMP per-op dispatch serializes on the fault lock
     costs = machine.costs
     config = machine.config

@@ -220,8 +220,7 @@ class UForkOS(AbstractOS):
                 tx.rollback()
                 machine.counters.add("fork_rollbacks")
                 machine.obs.count("core.ufork.fork_rollbacks")
-                machine.trace("fork_rollback", parent=proc.pid,
-                              reason=type(exc).__name__)
+                machine.obs.count("trace.fork_rollback")
                 point = getattr(exc, "point", None)
                 if point is not None:
                     machine.chaos.note_recovery(point)
@@ -249,8 +248,7 @@ class UForkOS(AbstractOS):
         degraded = ladder[min(index + tiers, len(ladder) - 1)]
         if degraded is not configured:
             self.machine.obs.count("core.ufork.degraded_forks")
-            self.machine.trace("fork_degraded", configured=configured.value,
-                               used=degraded.value)
+            self.machine.obs.count("trace.fork_degraded")
         return degraded
 
     def _abort_point(self, point: str, proc: Process) -> None:
@@ -389,8 +387,7 @@ class UForkOS(AbstractOS):
         self.sched.add(task)
         machine.counters.add("fork")
         obs.count("core.ufork.forks")
-        machine.trace("fork", parent=proc.pid, child=child.pid,
-                      strategy=strategy.value)
+        obs.count("trace.fork")
         record_flow(machine, "fork", proc.pid, child.pid,
                     child.region_base, child.region_top, strategy.value)
         return child
@@ -408,14 +405,14 @@ class UForkOS(AbstractOS):
         :func:`repro.core.strategies.setup_shared_pages`.  The
         simulated charge/counter stream is sum-equal to the per-page
         loop, so it is only taken when batching is unobservable:
-        no tracer, chaos off, integral PTE costs, and
-        enough free frames that the loop cannot hit mid-copy OOM
-        (whose partial state the per-page loop must reproduce).
+        chaos off, integral PTE costs, and enough free frames that the
+        loop cannot hit mid-copy OOM (whose partial state the per-page
+        loop must reproduce).
         Returns False when the caller must run the per-page loop.
         """
         machine = self.machine
         space = self.space
-        if machine.tracer is not None or machine.chaos.enabled:
+        if machine.chaos.enabled:
             return False
         costs = machine.costs
         if costs.pte_bulk_share_ns != int(costs.pte_bulk_share_ns) or \

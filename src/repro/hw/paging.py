@@ -286,7 +286,7 @@ class AddressSpace:
     """A page table plus access methods with fault dispatch.
 
     ``machine`` is any object exposing ``config``, ``costs``, ``clock``,
-    ``counters``, ``phys``, ``codec``, ``obs``, ``tracer`` and
+    ``counters``, ``phys``, ``codec``, ``obs`` and
     ``translation_gen`` (see :class:`repro.machine.Machine`).
     """
 
@@ -703,19 +703,21 @@ class AddressSpace:
             fault_ns = machine.costs.page_fault_ns
             ns_int = int(fault_ns) if fault_ns == int(fault_ns) else -1
             self._fault_int = ns_int
-        if ns_int >= 0 and clock.observer is None:
+        if ns_int >= 0:
             # pre-rounded integral charge: bit-equal to ``advance``
             clock._now_ns += ns_int
             buckets = clock.buckets
             buckets["page_fault"] = \
                 buckets.get("page_fault", 0) + ns_int
+            if clock.observer is not None:
+                clock.observer(ns_int, "page_fault")
         else:
             clock.advance(machine.costs.page_fault_ns, "page_fault")
         machine.counters.add(kind._fault_counter)
-        if machine.tracer is not None or machine.obs.enabled:
-            machine.obs.count(kind._fault_obs)
-            machine.trace("page_fault", vaddr=vaddr, kind=kind._nm,
-                          space=self.name)
+        obs = machine.obs
+        if obs.enabled:
+            obs.count(kind._fault_obs)
+            obs.count("trace.page_fault")
         if self.fault_handler is None:
             return False
         return self.fault_handler(self, vaddr, kind)
@@ -828,15 +830,12 @@ class AddressSpace:
         Simulated-identical to the per-call loop: each address gets the
         same walk/fault dispatch in sequence order and the same cleared
         tag set; only the memcpy charge is batched, as the exact sum of
-        the identical per-call rounded charges.  Falls back to per-call
-        :meth:`write` whenever batching could be observable (a clock
-        observer attributing charges to an open profiling span).
+        the identical per-call rounded charges.  A clock observer sees
+        that total once, at the end of the run: observation only sums
+        charges (per bucket and per open span), so the attribution is
+        the same as per call.
         """
         machine = self.machine
-        if machine.clock.observer is not None:
-            for vaddr in vaddrs:
-                self.write(vaddr, data, privileged)
-            return
         size = len(data)
         page_size = self._page_size
         ns_int = self._charge_memo.get(size)
@@ -902,6 +901,8 @@ class AddressSpace:
             clock._now_ns += total
             buckets = clock.buckets
             buckets["mem_write"] = buckets.get("mem_write", 0) + total
+            if clock.observer is not None:
+                clock.observer(total, "mem_write")
 
     def _blocked_write_vpns(self, vaddrs: Sequence[int], start: int,
                             size: int) -> Optional[List[int]]:

@@ -427,7 +427,7 @@ class AbstractOS(abc.ABC):
             _signals.signal_state(proc.parent).pending.append(
                 _signals.SIGCHLD
             )
-        self.machine.trace("exit", pid=proc.pid, status=status)
+        self.machine.obs.count("trace.exit")
         if proc.parent is None:
             proc.reaped = True
             self.procs.remove(proc.pid)

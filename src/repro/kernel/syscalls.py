@@ -122,7 +122,7 @@ class SyscallLayer:
             if self.isolation.tocttou and buffer_bytes:
                 obs.count("kernel.syscall.tocttou_copies",
                           len(buffer_bytes))
-        self.machine.trace("syscall", name=name)
+            obs.count("trace.syscall")
 
     # -- argument validation helpers -------------------------------------------
 

@@ -93,7 +93,7 @@ class Machine:
         self.irq_depth = 0
         #: deterministic randomness source (ASLR etc.)
         self.rng = random.Random(seed)
-        #: optional structured-event tracer (see :mod:`repro.trace`)
+        #: always None; read only by ``perfbench/layers.py``'s engine guards
         self.tracer = None
         #: optional syscall-boundary tap, called as
         #: ``tap(os, proc, name, args, result, error)`` after every
@@ -129,18 +129,6 @@ class Machine:
     def charge(self, ns: float, bucket: Optional[str] = None) -> None:
         """Charge simulated time (convenience passthrough to the clock)."""
         self.clock.advance(ns, bucket)
-
-    def trace(self, event: str, **fields) -> None:
-        """Record a structured trace event (no-op without a tracer).
-
-        With observability enabled, each event is also counted under
-        ``trace.<event>`` so trace activity shows up in exports without
-        an attached :class:`~repro.trace.TraceLog`.
-        """
-        if self.tracer is not None:
-            self.tracer.record(event, **fields)
-        if self.obs.enabled:
-            self.obs.count(f"trace.{event}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

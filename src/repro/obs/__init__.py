@@ -4,8 +4,10 @@ One instrumented stack for everything the reproduction can measure: a
 metrics **registry** (monotonic counters, gauges, fixed-log-bucket
 histograms), **span**-based profiling that attributes simulated time
 hierarchically, and a **JSON exporter** — replacing ad-hoc spelunking
-through ``SimClock.buckets`` and ``TraceLog`` with one documented
-contract (``docs/OBSERVABILITY.md``).
+through ``SimClock.buckets`` with one documented contract
+(``docs/OBSERVABILITY.md``).  Kernel events (fork, fault, CoW break,
+relocation, syscall, exit, ...) are ``trace.<event>`` counters.  The
+engine takes the same paths whether or not a run is observed.
 
 Every :class:`~repro.machine.Machine` carries a disabled-by-default
 :class:`Observability` as ``machine.obs``; instrumentation points in

@@ -4,10 +4,10 @@ An :class:`Observability` instance hangs off every
 :class:`~repro.machine.Machine` as ``machine.obs``.  It is **disabled by
 default**: instrumentation points throughout the simulator call
 ``machine.obs.count/gauge_set/observe/span`` unconditionally, and while
-disabled each call is a single attribute check (the same contract as
-``machine.trace``) that records nothing.  Nothing in this module ever
-advances the simulated clock, so enabling observability cannot change
-any simulated result.
+disabled each call is a single attribute check that records nothing.
+Nothing in this module ever advances the simulated clock, and no engine
+path branches on whether it is enabled, so enabling observability
+cannot change any simulated result.
 
 When enabled, the facade installs itself as the clock's observer: every
 ``clock.advance(ns, bucket)`` is mirrored as a ``time.<bucket>`` counter

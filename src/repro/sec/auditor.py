@@ -3,8 +3,9 @@
 :func:`audit_cap_flow` is the security half of the §4.2 isolation
 invariant: at any trap or preemption point, no live register and no
 tagged memory granule may hold a capability whose *provenance* crosses
-a μprocess boundary.  It generalises :func:`repro.core.audit
-.audit_isolation` in three ways:
+a μprocess boundary.  It is the system-wide §4.2 checker the tests
+run after adversarial workloads, and it goes beyond a plain
+region-confinement walk in three ways:
 
 * it works on every OS kind — the walk goes through ``os.space_of``,
   so the monolithic baseline (per-process page tables) is audited with
@@ -88,12 +89,12 @@ def _audit_cap(os_: Any, proc: Any, cap: Capability, location: str,
 def audit_cap_flow(os_: Any) -> List[str]:
     """Audit every live μprocess on any OS kind; returns violations.
 
-    Mirrors :func:`repro.core.audit.audit_isolation`'s treatment of
-    fork-shared pages (a ``ShareNote`` page legitimately holds the
-    donor's capabilities until the strategy's fault handler relocates
-    them) and of ``MAP_SHARED`` windows (skipped: the window capability
-    carries no LOAD_CAP/STORE_CAP, so tags can never appear there — if
-    one does, the smuggling tests fail loudly instead).
+    Fork-shared pages are audited against the fork's source region: a
+    ``ShareNote`` page legitimately holds the donor's capabilities
+    until the strategy's fault handler relocates them.  ``MAP_SHARED``
+    windows are skipped: the window capability carries no
+    LOAD_CAP/STORE_CAP, so tags can never appear there — if one does,
+    the smuggling tests fail loudly instead.
     """
     machine = os_.machine
     page = machine.config.page_size

@@ -109,8 +109,7 @@ def tlb_shootdown(machine: Any, targets: Iterable[int],
         return 0
     machine.counters.add("tlb_shootdown_broadcast")
     machine.obs.count("smp.tlb.shootdowns")
-    machine.trace("tlb_shootdown", initiator=initiator,
-                  recipients=len(recipients), reason=reason)
+    machine.obs.count("trace.tlb_shootdown")
     chaos = machine.chaos
     for cpu in recipients:
         machine.ipi.send(initiator, cpu, "tlb_shootdown")

@@ -127,8 +127,7 @@ def checkpoint(os: Any, proc: Process, *, incremental: bool = False) -> bytes:
     machine.counters.add("checkpoint")
     machine.obs.count("core.snapshot.checkpoints")
     machine.obs.count("core.snapshot.pages_captured", len(pages))
-    machine.trace("checkpoint", pid=proc.pid, pages=len(pages),
-                  incremental=bool(incremental))
+    machine.obs.count("trace.checkpoint")
     return blob
 
 
@@ -252,7 +251,7 @@ def restore(os: Any, blob: bytes, *, name: Optional[str] = None,
             tx.rollback()
             machine.counters.add("restore_rollbacks")
             machine.obs.count("core.snapshot.restore_rollbacks")
-            machine.trace("restore_rollback", reason=type(exc).__name__)
+            machine.obs.count("trace.restore_rollback")
             point = getattr(exc, "point", None)
             if point is not None:
                 machine.chaos.note_recovery(point)
@@ -463,7 +462,7 @@ def _restore_phases(os: Any, manifest: Dict[str, Any], payload: memoryview,
     os.sched.add(task)
     machine.counters.add("restore")
     machine.obs.count("core.snapshot.restores")
-    machine.trace("restore", pid=child.pid, pages=len(manifest["pages"]))
+    machine.obs.count("trace.restore")
     record_flow(machine, "restore", parent.pid if parent else 0, child.pid,
                 child.region_base, child.region_top)
     return child
@@ -590,6 +589,5 @@ def restore_into(os: Any, proc: Process, blob: bytes) -> int:
     machine.counters.add("restore_into")
     machine.obs.count("core.snapshot.pages_applied",
                       len(manifest["pages"]))
-    machine.trace("restore_into", pid=proc.pid,
-                  pages=len(manifest["pages"]))
+    machine.obs.count("trace.restore_into")
     return len(manifest["pages"])

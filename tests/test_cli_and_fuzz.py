@@ -15,9 +15,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.apps.guest import GuestContext
 from repro.apps.hello import hello_world_image
 from repro.core import UForkOS
-from repro.core.audit import audit_isolation
 from repro.errors import SimError
 from repro.machine import Machine
+from repro.sec.auditor import audit_cap_flow
 
 
 class TestCli:
@@ -85,4 +85,4 @@ class TestSyscallFuzz:
         # isolation invariant holds system-wide
         assert victim.proc.alive
         assert victim.syscall("getpid") == victim.pid
-        assert audit_isolation(os_) == []
+        assert audit_cap_flow(os_) == []

@@ -6,9 +6,9 @@ import pytest
 from repro.apps.guest import GuestContext
 from repro.apps.redis import MiniRedis
 from repro.core import CopyStrategy, UForkOS
-from repro.core.audit import audit_isolation
 from repro.machine import Machine
 from repro.mem.layout import KiB, MiB, ProgramImage
+from repro.sec.auditor import audit_cap_flow
 
 
 def dyn_image(heap=4 * MiB, initial=64 * KiB):
@@ -75,7 +75,7 @@ class TestDemandPaging:
         fresh = child.malloc(512 * KiB)
         child.store(fresh, b"child-growth", 400 * KiB)
         assert child.load(fresh, 12, 400 * KiB) == b"child-growth"
-        assert audit_isolation(os_) == []
+        assert audit_cap_flow(os_) == []
 
     def test_untouched_tail_never_materializes(self):
         os_ = boot()

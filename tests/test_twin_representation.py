@@ -3,12 +3,21 @@
 A fixed corpus of seeded operation programs — map/unmap (malloc +
 exit teardown), fork, CoW break (parent and child stores, single and
 batched runs) and tag-store traffic — runs through the public
-:class:`~repro.api.Session` facade under every copy strategy, with and
-without a tracer.  Each run is reduced to one digest of every simulated
-observable (clock, attribution buckets, event counters, page dumps with
-bytes/tags/refcounts/permissions, the error list and, when traced, the
-ordered event stream) and compared against ``tests/golden/
-twin_corpus.json``.
+:class:`~repro.api.Session` facade under every copy strategy.  Each run
+is reduced to one digest of every simulated observable (clock,
+attribution buckets, event counters, page dumps with
+bytes/tags/refcounts/permissions and the error list) and compared
+against ``tests/golden/twin_corpus.json``.
+
+Every program runs on two engine paths: the batched one (bulk fork
+copy, bulk CoW break, batched relocation) and the per-op one that an
+armed chaos engine forces (``chaos="default=0"``: every fast path
+falls back to per-page dispatch, but no fault ever fires).  Both must
+reproduce the same golden digest.  A ``-traced`` run turns observation
+on (the ``trace.<event>`` counters and every other :mod:`repro.obs`
+instrument record) on both paths: observing must change neither the
+digest nor, apart from the ``chaos.*`` counters, the observability
+export — the engine takes the same paths whether or not it is watched.
 
 The digests were recorded while the simulator still carried a second,
 self-contained per-page storage representation next to the vectorized
@@ -39,6 +48,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "twin_corpus.json"
 CORPUS_SEEDS = range(8)
 CORPUS_OPS = 24
 STRATEGIES = ("full", "coa", "copa")
+
+#: a chaos spec that arms the engine without ever firing: every
+#: batched path takes its per-op fallback
+PER_OP = "default=0"
 
 _op = st.one_of(
     st.tuples(st.just("store"), st.integers(0, MAX_PROCS - 1),
@@ -116,21 +129,11 @@ def _run_ops(sim, ops):
     return stack, errors
 
 
-class _Recorder:
-    def __init__(self):
-        self.events = []
-
-    def record(self, event, **fields):
-        self.events.append((event, tuple(sorted(fields.items()))))
-
-
-def _drive(strategy, ops, traced=False):
-    """Run ``ops`` in a fresh session; return every simulated observable."""
-    sim = Session(strategy=strategy, seed=5).boot()
-    recorder = None
-    if traced:
-        recorder = _Recorder()
-        sim.machine.tracer = recorder
+def _run(strategy, ops, observed=False, per_op=False):
+    """Run ``ops`` in a fresh session; return it with every simulated
+    observable."""
+    sim = Session(strategy=strategy, seed=5, obs=observed,
+                  chaos=PER_OP if per_op else None).boot()
     stack, errors = _run_ops(sim, ops)
     machine = sim.machine
     dumps = []
@@ -146,15 +149,32 @@ def _drive(strategy, ops, traced=False):
                           frame_obj.read(0, PAGE),
                           tuple(frame_obj.tagged_granules())))
         dumps.append(pages)
-    return {
+    return sim, {
         "errors": errors,
         "now_ns": machine.clock.now_ns,
         "buckets": dict(machine.clock.buckets),
         "counters": machine.counters.snapshot(),
         "allocated_frames": machine.phys.allocated_frames,
         "dumps": dumps,
-        "events": None if recorder is None else recorder.events,
+        # the golden digests were recorded with an (empty) event slot
+        "events": None,
     }
+
+
+def _drive(strategy, ops, per_op=False):
+    """Every simulated observable of an unobserved run of ``ops``."""
+    return _run(strategy, ops, per_op=per_op)[1]
+
+
+def _export_without_chaos(sim):
+    """The session's ``repro.obs/v1`` export minus any ``chaos.*``
+    counters, which only the per-op run's chaos engine can record."""
+    export = sim.obs_export()
+    counters = export["metrics"]["counters"]
+    export["metrics"]["counters"] = {
+        name: value for name, value in counters.items()
+        if not name.startswith("chaos.")}
+    return export
 
 
 def digest(observables):
@@ -173,15 +193,9 @@ def digest(observables):
 
 
 def corpus():
-    """``{program id: (strategy, ops, traced)}`` for the whole corpus."""
-    out = {}
-    for strategy in STRATEGIES:
-        for seed in CORPUS_SEEDS:
-            ops = seeded_program(seed)
-            for traced in (False, True):
-                key = f"{strategy}-s{seed}{'-traced' if traced else ''}"
-                out[key] = (strategy, ops, traced)
-    return out
+    """``{program id: (strategy, ops)}`` for the whole corpus."""
+    return {f"{strategy}-s{seed}": (strategy, seeded_program(seed))
+            for strategy in STRATEGIES for seed in CORPUS_SEEDS}
 
 
 def corpus_digests():
@@ -197,10 +211,34 @@ def test_golden_covers_the_corpus():
     assert sorted(_golden()) == sorted(corpus())
 
 
-@pytest.mark.parametrize("key", sorted(corpus()))
+@pytest.mark.parametrize(
+    "key", sorted([*corpus(), *(f"{key}-traced" for key in corpus())]))
 def test_corpus_matches_golden_digest(key):
-    assert digest(_drive(*corpus()[key])) == _golden()[key], (
-        f"{key}: simulated observables drifted from {GOLDEN.name}")
+    """The batched engine reproduces the golden digest; a ``-traced``
+    key also runs observed, on both engine paths, and compares the two
+    observability exports."""
+    program, traced = key.removesuffix("-traced"), key.endswith("-traced")
+    expected = _golden()[program]
+    if not traced:
+        assert digest(_drive(*corpus()[program])) == expected, (
+            f"{key}: simulated observables drifted from {GOLDEN.name}")
+        return
+    bulk_sim, bulk = _run(*corpus()[program], observed=True)
+    op_sim, per_op = _run(*corpus()[program], observed=True, per_op=True)
+    assert digest(bulk) == expected, f"{key}: observing changed the run"
+    assert digest(per_op) == expected, (
+        f"{key}: observed per-op run drifted from {GOLDEN.name}")
+    assert _export_without_chaos(bulk_sim) == \
+        _export_without_chaos(op_sim), (
+            f"{key}: batched and per-op paths observe differently")
+
+
+@pytest.mark.parametrize("key", sorted(corpus()))
+def test_per_op_matches_golden_digest(key):
+    """The per-op fallbacks an armed chaos engine forces reproduce the
+    batched engine's golden digest."""
+    assert digest(_drive(*corpus()[key], per_op=True)) == _golden()[key], (
+        f"{key}: per-op path drifted from {GOLDEN.name}")
 
 
 def test_corpus_programs_exercise_every_operation():
