@@ -113,22 +113,16 @@ def relocate_frames(machine: Any, frames: List[Frame],
 
     Simulated-identical to calling :func:`relocate_frame` once per
     frame: the per-frame page-scan charge and sweep counts are batched
-    into single sum-equal updates when the scan cost is integral (the
-    charges round identically per frame, and counters/metrics record
-    pure sums).  Falls back to the per-frame loop when the scan cost is
-    non-integral (per-frame rounding would then differ from the sum).
+    into single sum-equal updates (the clock rounds every charge, so
+    the batch charges the per-frame rounded cost times the count, and
+    counters/metrics record pure sums).
     """
     count = len(frames)
     if count == 0:
         return 0
     config = machine.config
     scan_ns = machine.costs.page_scan_ns(config.page_size, config.granule)
-    if scan_ns != int(scan_ns):
-        total = 0
-        for frame in frames:
-            total += relocate_frame(machine, frame, regions)
-        return total
-    machine.charge(int(scan_ns) * count, "reloc_scan")
+    machine.charge(int(round(scan_ns)) * count, "reloc_scan")
     obs = machine.obs
     obs_enabled = obs.enabled
     if obs_enabled:
@@ -164,27 +158,21 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: List[int],
 
     Charge/counter parity: the per-frame scan charge and sweep counts
     are batched exactly as in :func:`relocate_frames`; memo-hit frames
-    batch their ``cap_relocate_ns`` charges into one sum-equal advance
-    (integral cost pre-checked — non-integral costs take the per-frame
-    path).
+    batch their per-capability rounded ``cap_relocate_ns`` charges into
+    one sum-equal advance.
     """
     count = len(dsts)
     if count == 0:
         return 0
     config = machine.config
     scan_ns = machine.costs.page_scan_ns(config.page_size, config.granule)
-    per_cap = machine.costs.cap_relocate_ns
-    if scan_ns != int(scan_ns) or per_cap != int(per_cap):
-        total = 0
-        for dst in dsts:
-            total += relocate_frame(machine, phys.frame(dst), regions)
-        return total
+    per_cap = int(round(machine.costs.cap_relocate_ns))
     memo = getattr(machine, "_page_memo", None)
     if memo is None:
         memo = machine._page_memo = {}
     region_key = (regions.parent_base, regions.parent_top,
                   regions.child_base, regions.child_top)
-    machine.charge(int(scan_ns) * count, "reloc_scan")
+    machine.charge(int(round(scan_ns)) * count, "reloc_scan")
     obs = machine.obs
     obs_enabled = obs.enabled
     if obs_enabled:
@@ -221,7 +209,7 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: List[int],
                 obs.count("trace.relocate_frame")
             total += relocated
     if caps_batched:
-        machine.charge(int(per_cap) * caps_batched, "reloc_cap")
+        machine.charge(per_cap * caps_batched, "reloc_cap")
     return total
 
 
@@ -240,10 +228,9 @@ def _relocate_frame_memoised(machine: Any, frame: Frame,
     is never memoised; it cannot occur for *tagged* granules anyway,
     since only a legitimate ``store_cap`` sets a tag.
 
-    The simulated charge is one ``cap_relocate_ns`` per rewritten
-    capability, batched into a single ``advance`` only when the cost is
-    integral (sum-equal is then bit-equal, and the observability layer
-    records pure sums).
+    The simulated charge is one rounded ``cap_relocate_ns`` per
+    rewritten capability, batched into a single sum-equal ``advance``
+    (the observability layer records pure sums).
     """
     memo = machine._reloc_memo
     region_key = (regions.parent_base, regions.parent_top,
@@ -272,12 +259,8 @@ def _relocate_frame_memoised(machine: Any, frame: Frame,
             frame.write_granule(offset, new_raw, new_tag)
             relocated += 1
     if relocated:
-        per_cap = machine.costs.cap_relocate_ns
-        if per_cap == int(per_cap):
-            machine.charge(per_cap * relocated, "reloc_cap")
-        else:  # non-integral cost: per-cap rounding must be preserved
-            for _ in range(relocated):
-                machine.charge(per_cap, "reloc_cap")
+        machine.charge(int(round(machine.costs.cap_relocate_ns)) * relocated,
+                       "reloc_cap")
     return relocated
 
 

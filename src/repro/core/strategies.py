@@ -131,8 +131,8 @@ def setup_shared_pages(space: AddressSpace, items, delta_pages: int,
     child side (sharing a single interned :class:`ShareNote` — notes
     are never mutated, only replaced), parent protection is applied
     in place, and the per-page PTE charges are batched as sum-equal
-    totals.  The caller guarantees the PTE costs are integral and
-    chaos is off.
+    totals (rounded cost times count).  The caller guarantees chaos is
+    off.
 
     Parent vpns newly write-protected are appended to ``newly_shared``
     as ints (fork rollback resolves them through the space).
@@ -184,10 +184,11 @@ def setup_shared_pages(space: AddressSpace, items, delta_pages: int,
             set_note_many(unnoted, parent_note)
             newly_shared.extend(unnoted)
         index = end
-    machine.charge(int(costs.pte_bulk_share_ns) * count, "fork_map")
+    machine.charge(int(round(costs.pte_bulk_share_ns)) * count, "fork_map")
     if strategy is CopyStrategy.COA:
-        machine.charge(int(costs.pte_coa_extra_ns) * count, "fork_map")
-    machine.charge(int(costs.pte_protect_ns) * count, "fork_protect")
+        machine.charge(int(round(costs.pte_coa_extra_ns)) * count,
+                       "fork_map")
+    machine.charge(int(round(costs.pte_protect_ns)) * count, "fork_protect")
 
 
 def copy_page_for_child(space: AddressSpace, child_vpn: int,
@@ -267,29 +268,21 @@ def handle_fork_write_run(space: AddressSpace, vpns) -> bool:
 
     Commits only when EVERY vpn is a clean ShareNote write-break whose
     restored permissions allow the write; anything else (foreign notes,
-    genuinely read-only pages, imminent frame exhaustion, chaos, SMP,
-    non-integral costs) returns False with no state touched,
-    and the per-op loop reproduces the exact fault/exception sequence.
+    genuinely read-only pages, imminent frame exhaustion, chaos, SMP)
+    returns False with no state touched, and the per-op loop reproduces
+    the exact fault/exception sequence.
 
     Simulated-identical to faulting the pages one at a time in order:
     fault and page-copy charges are batched as sum-equal pre-rounded
-    advances; frame allocation and refcount evolution follow the same
-    vpn order (no frame can be freed mid-run — every frame this path
-    decrefs is still referenced by the other side of the share); the
-    counters and observability records are pure sums plus a last-value
-    gauge.
+    advances (rounded cost times count); frame allocation and refcount
+    evolution follow the same vpn order (no frame can be freed mid-run
+    — every frame this path decrefs is still referenced by the other
+    side of the share); the counters and observability records are
+    pure sums plus a last-value gauge.
     """
     machine = space.machine
     if machine.chaos.enabled or machine.num_cpus > 1:
         return False  # SMP per-op dispatch serializes on the fault lock
-    costs = machine.costs
-    config = machine.config
-    fault_ns = costs.page_fault_ns
-    scan_ns = costs.page_scan_ns(config.page_size, config.granule)
-    per_cap = costs.cap_relocate_ns
-    if fault_ns != int(fault_ns) or scan_ns != int(scan_ns) \
-            or per_cap != int(per_cap):
-        return False
     req = AccessKind.WRITE._req_bits
     note_of = space.note_of
     breaks = []
@@ -316,7 +309,8 @@ def handle_fork_write_run(space: AddressSpace, vpns) -> bool:
     if copies and phys.free_frames() < len(copies):
         return False  # per-op dispatch reproduces the exact mid-OOM state
     count = len(breaks)
-    machine.charge(int(fault_ns) * count, "page_fault")
+    machine.charge(int(round(machine.costs.page_fault_ns)) * count,
+                   "page_fault")
     counters = machine.counters
     counters.add(AccessKind.WRITE._fault_counter, count)
     obs = machine.obs

@@ -404,20 +404,16 @@ class UForkOS(AbstractOS):
         CoA/CoPA sharing goes through
         :func:`repro.core.strategies.setup_shared_pages`.  The
         simulated charge/counter stream is sum-equal to the per-page
-        loop, so it is only taken when batching is unobservable:
-        chaos off, integral PTE costs, and enough free frames that the
-        loop cannot hit mid-copy OOM (whose partial state the per-page
-        loop must reproduce).
+        loop (each batched charge is the rounded per-page cost times the
+        count), so it is only taken when batching is unobservable:
+        chaos off and enough free frames that the loop cannot hit
+        mid-copy OOM (whose partial state the per-page loop must
+        reproduce).
         Returns False when the caller must run the per-page loop.
         """
         machine = self.machine
         space = self.space
         if machine.chaos.enabled:
-            return False
-        costs = machine.costs
-        if costs.pte_bulk_share_ns != int(costs.pte_bulk_share_ns) or \
-                costs.pte_coa_extra_ns != int(costs.pte_coa_extra_ns) or \
-                costs.pte_protect_ns != int(costs.pte_protect_ns):
             return False
         full = strategy is CopyStrategy.FULL_COPY
         shm_items: List[Any] = []
@@ -434,7 +430,7 @@ class UForkOS(AbstractOS):
         phys = machine.phys
         if copy_items and phys.free_frames() < len(copy_items):
             return False
-        bulk_ns = int(costs.pte_bulk_share_ns)
+        bulk_ns = int(round(machine.costs.pte_bulk_share_ns))
 
         # MAP_SHARED memory: same frames, by design (§3.7)
         position = 0

@@ -316,8 +316,7 @@ class AddressSpace:
         #: ``machine.costs`` is a frozen dataclass assigned once at
         #: machine construction
         self._charge_memo: Dict[int, int] = {}
-        #: pre-rounded fault charge (None until first fault; -1 when
-        #: ``page_fault_ns`` is non-integral and must round per call)
+        #: pre-rounded fault charge (None until the first fault)
         self._fault_int: Optional[int] = None
 
     # -- mapping ------------------------------------------------------------
@@ -700,19 +699,14 @@ class AddressSpace:
         clock = machine.clock
         ns_int = self._fault_int
         if ns_int is None:
-            fault_ns = machine.costs.page_fault_ns
-            ns_int = int(fault_ns) if fault_ns == int(fault_ns) else -1
-            self._fault_int = ns_int
-        if ns_int >= 0:
-            # pre-rounded integral charge: bit-equal to ``advance``
-            clock._now_ns += ns_int
-            buckets = clock.buckets
-            buckets["page_fault"] = \
-                buckets.get("page_fault", 0) + ns_int
-            if clock.observer is not None:
-                clock.observer(ns_int, "page_fault")
-        else:
-            clock.advance(machine.costs.page_fault_ns, "page_fault")
+            ns_int = self._fault_int = \
+                int(round(machine.costs.page_fault_ns))
+        # pre-rounded charge: bit-equal to ``advance``
+        clock._now_ns += ns_int
+        buckets = clock.buckets
+        buckets["page_fault"] = buckets.get("page_fault", 0) + ns_int
+        if clock.observer is not None:
+            clock.observer(ns_int, "page_fault")
         machine.counters.add(kind._fault_counter)
         obs = machine.obs
         if obs.enabled:
@@ -857,52 +851,56 @@ class AddressSpace:
         # the stamp can only move inside fault dispatch (hook/resolve),
         # so it is re-checked after those instead of per store
         stamp_ok = machine.translation_gen == self._walk_stamp
-        for position, vaddr in enumerate(vaddrs):
-            offset = vaddr % page_size
-            if offset + size > page_size:
-                # page-spanning store: the layered path (charges itself)
-                self.write(vaddr, data, privileged)
-                stamp_ok = machine.translation_gen == self._walk_stamp
-                continue
-            frame = None
-            if stamp_ok:
-                hit = cache_get(vaddr // page_size)
-                if hit is not None:
-                    perms, index, frame = hit
-                    if check_perms and \
-                            (perms[index] & write_bits) != write_bits:
-                        frame = None
-            if frame is None:
-                if hook is not None:
-                    run_hook, hook = hook, None
-                    blocked = self._blocked_write_vpns(vaddrs, position,
-                                                       size)
-                    if blocked:
-                        machine.irq_depth += 1
-                        try:
-                            run_hook(self, blocked)
-                        finally:
-                            machine.irq_depth -= 1
-                frame, offset = self.resolve(vaddr, AccessKind.WRITE,
-                                             privileged)
-                stamp_ok = machine.translation_gen == self._walk_stamp
-            frame.version += 1
-            frame.data[offset:offset + size] = data
-            first = offset // cap_size
-            tag_count = (offset + size - 1) // cap_size + 1 - first
-            if tag_count > 0:
-                frame.tags[first:first + tag_count] = \
-                    zeros[:tag_count] if tag_count <= zeros_len \
-                    else bytes(tag_count)
-            count += 1
-        if count:
-            total = ns_int * count
-            clock = machine.clock
-            clock._now_ns += total
-            buckets = clock.buckets
-            buckets["mem_write"] = buckets.get("mem_write", 0) + total
-            if clock.observer is not None:
-                clock.observer(total, "mem_write")
+        try:
+            for position, vaddr in enumerate(vaddrs):
+                offset = vaddr % page_size
+                if offset + size > page_size:
+                    # page-spanning store: the layered path (charges itself)
+                    self.write(vaddr, data, privileged)
+                    stamp_ok = machine.translation_gen == self._walk_stamp
+                    continue
+                frame = None
+                if stamp_ok:
+                    hit = cache_get(vaddr // page_size)
+                    if hit is not None:
+                        perms, index, frame = hit
+                        if check_perms and \
+                                (perms[index] & write_bits) != write_bits:
+                            frame = None
+                if frame is None:
+                    if hook is not None:
+                        run_hook, hook = hook, None
+                        blocked = self._blocked_write_vpns(vaddrs, position,
+                                                           size)
+                        if blocked:
+                            machine.irq_depth += 1
+                            try:
+                                run_hook(self, blocked)
+                            finally:
+                                machine.irq_depth -= 1
+                    frame, offset = self.resolve(vaddr, AccessKind.WRITE,
+                                                 privileged)
+                    stamp_ok = machine.translation_gen == self._walk_stamp
+                frame.version += 1
+                frame.data[offset:offset + size] = data
+                first = offset // cap_size
+                tag_count = (offset + size - 1) // cap_size + 1 - first
+                if tag_count > 0:
+                    frame.tags[first:first + tag_count] = \
+                        zeros[:tag_count] if tag_count <= zeros_len \
+                        else bytes(tag_count)
+                count += 1
+        finally:
+            # stores that completed before a raising one are charged
+            # too, exactly as the per-call loop charges them
+            if count:
+                total = ns_int * count
+                clock = machine.clock
+                clock._now_ns += total
+                buckets = clock.buckets
+                buckets["mem_write"] = buckets.get("mem_write", 0) + total
+                if clock.observer is not None:
+                    clock.observer(total, "mem_write")
 
     def _blocked_write_vpns(self, vaddrs: Sequence[int], start: int,
                             size: int) -> Optional[List[int]]:

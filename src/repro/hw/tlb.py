@@ -15,8 +15,8 @@ class TLB:
     """Tracks flushes and charges their cost to the simulated clock.
 
     Each CPU core owns a *private* TLB (``machine.cores[i].tlb``);
-    ``machine.tlb`` aliases CPU 0's instance, so single-CPU call sites
-    keep their historical behavior.  Cross-core invalidation goes
+    the scheduler flushes the switching CPU's instance on a
+    multi-address-space context switch.  Cross-core invalidation goes
     through the ack-based shootdown protocol in :mod:`repro.smp.ipi`,
     whose broadcast cost is **per recipient** — see
     :meth:`~repro.params.CostModel.shootdown_ns`.

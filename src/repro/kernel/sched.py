@@ -4,80 +4,135 @@ The lightweightness difference the paper measures between μFork and the
 monolithic baseline on IPC-heavy workloads (Unixbench Context1, Fig 9)
 comes from two mechanisms charged here: switching between tasks in a
 single address space needs no page-table change and no TLB flush, while
-a multi-address-space switch pays both.
+a multi-address-space switch pays both — on a multi-address-space OS
+the switch flushes the switching CPU's *private* TLB.
 
-The simulation's drivers are synchronous Python code, so the scheduler
-is cooperative: it picks runnable tasks round-robin and charges switch
-costs; "blocking" surfaces to drivers as WouldBlock and they re-enter
-after switching.
+One scheduler serves every CPU count: per-CPU FIFO run queues with CPU
+affinity and a deterministic work-stealing balancer.  A 1-CPU machine
+is simply the case with one queue and nothing to steal from.  The
+simulation's drivers are synchronous Python code, so the scheduler is
+cooperative: it picks runnable tasks and charges switch costs;
+"blocking" surfaces to drivers as WouldBlock and they re-enter after
+switching.  The SMP executor (:mod:`repro.smp.exec`) drives the per-CPU
+entry points ``pick_for_cpu`` and ``switch_to(task, cpu=...)``.
+
+Determinism: placement, victim selection and steal order are pure
+functions of queue state (least-loaded, lowest-CPU-id tie-break,
+oldest-task-first), so one seed fully determines the schedule.
+
+Invariants (tests/test_sched.py):
+
+* an EXITED task can never (re-)enter any queue, be woken, or be
+  stolen;
+* removal is idempotent and clears any per-CPU ``current`` slot;
+* a steal never migrates a task whose affinity mask excludes the
+  stealing CPU (the property tests fuzz exactly this).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.kernel.task import Task, TaskState
 
 
-def make_scheduler(machine: Any, same_address_space: bool):
-    """Pick the machine's scheduler: the single global round-robin
-    queue on a 1-CPU machine (bit-identical to the pre-SMP model), or
-    per-CPU run queues with work stealing once more than one CPU is
-    online (:class:`repro.smp.sched.SmpScheduler`)."""
-    if getattr(machine, "num_cpus", 1) > 1:
-        from repro.smp.sched import SmpScheduler
-        return SmpScheduler(machine, same_address_space)
-    return Scheduler(machine, same_address_space)
-
-
 class Scheduler:
-    """Round-robin over runnable tasks with switch-cost accounting."""
+    """N per-CPU FIFO queues + a deterministic work-stealing balancer."""
 
     def __init__(self, machine: Any, same_address_space: bool) -> None:
         self.machine = machine
         self.same_address_space = same_address_space
-        #: the run queue as an insertion-ordered set (a dict used for
-        #: its ordering guarantee): O(1) membership test on ``add`` and
-        #: O(1) removal from the middle, where the former deque paid a
-        #: linear scan for both.  Iteration order — and therefore every
-        #: scheduling decision — is identical to the deque it replaces.
-        self._runnable: Dict[Task, None] = {}
-        self.current: Optional[Task] = None
+        self.num_cpus = machine.num_cpus
+        #: per-CPU FIFO queues as insertion-ordered sets (dicts), so
+        #: membership tests and mid-queue removal are O(1) while the
+        #: iteration order is the dispatch order
+        self._queues: List[Dict[Task, None]] = [
+            {} for _ in range(self.num_cpus)
+        ]
+        self._current: List[Optional[Task]] = [None] * self.num_cpus
         self.switches = 0
+        self.steals = 0
+        self.steal_aborts = 0
         #: optional pluggable pick policy: a callable receiving the
-        #: runnable candidates (queue order) and returning the task to
-        #: dispatch, or ``None`` to keep the round-robin default.  The
+        #: local runnable candidates (queue order) and returning the
+        #: task to dispatch, or ``None`` to keep the FIFO default.  The
         #: conformance explorer installs one to permute scheduler
         #: decisions deterministically (see :mod:`repro.conform`).
         self.decision_source = None
 
-    # -- queue management ----------------------------------------------------
+    # -- the current CPU's view ------------------------------------------
+
+    @property
+    def current(self) -> Optional[Task]:
+        """The task running on the machine's current CPU."""
+        return self._current[self.machine.current_cpu]
+
+    def current_on(self, cpu: int) -> Optional[Task]:
+        return self._current[cpu]
+
+    # -- queue management ------------------------------------------------
+
+    def _enqueued(self, task: Task) -> bool:
+        return any(task in queue for queue in self._queues)
+
+    def _allowed_cpus(self, task: Task) -> List[int]:
+        allowed = [cpu for cpu in range(self.num_cpus)
+                   if task.can_run_on(cpu)]
+        if not allowed:
+            raise ValueError(
+                f"task tid={task.tid} affinity {sorted(task.affinity)} "
+                f"excludes every online CPU (0..{self.num_cpus - 1})")
+        return allowed
+
+    def _load(self, cpu: int) -> int:
+        """Queue depth plus occupancy: an idle empty CPU beats a busy
+        empty one, so new work wakes idle CPUs first (and pays the
+        resched IPI that a real wakeup does)."""
+        return 2 * len(self._queues[cpu]) + \
+            (1 if self._current[cpu] is not None else 0)
+
+    def _place(self, task: Task) -> int:
+        """Deterministic placement: least-loaded allowed CPU; prefer
+        the task's last CPU (cache warmth) among the least loaded, then
+        the lowest CPU id."""
+        allowed = self._allowed_cpus(task)
+        min_load = min(self._load(cpu) for cpu in allowed)
+        if task.last_cpu in allowed and \
+                self._load(task.last_cpu) == min_load:
+            return task.last_cpu
+        for cpu in allowed:
+            if self._load(cpu) == min_load:
+                return cpu
+        raise AssertionError("unreachable")  # pragma: no cover
 
     def add(self, task: Task) -> None:
-        if task.state is TaskState.RUNNABLE and task not in self._runnable:
-            self._runnable[task] = None
-            self._observe_depth()
+        if task.state is not TaskState.RUNNABLE or self._enqueued(task):
+            return
+        cpu = self._place(task)
+        was_empty = not self._queues[cpu]
+        self._queues[cpu][task] = None
+        self._observe_depth()
+        if cpu != self.machine.current_cpu and was_empty and \
+                self._current[cpu] is None:
+            # waking an idle remote CPU costs a resched IPI
+            self.machine.ipi.send(self.machine.current_cpu, cpu, "resched")
 
     def remove(self, task: Task) -> None:
-        """Drop a task from the run queue.
+        """Drop a task from whichever queue holds it.
 
         Tolerates tasks that were never enqueued (or already removed):
         chaos-driven mid-fork teardown and process exit both remove
         blindly, so removal must be an idempotent no-op rather than a
         raise.
         """
-        if task in self._runnable:
-            del self._runnable[task]
-            self._observe_depth()
-        if self.current is task:
-            self.current = None
-
-    def _observe_depth(self) -> None:
-        """Keep the ``kernel.sched.runqueue_depth`` gauge current."""
-        obs = self.machine.obs
-        if obs.enabled:
-            obs.gauge_set("kernel.sched.runqueue_depth",
-                          len(self._runnable))
+        for queue in self._queues:
+            if task in queue:
+                del queue[task]
+                self._observe_depth()
+                break
+        for cpu, running in enumerate(self._current):
+            if running is task:
+                self._current[cpu] = None
 
     def block(self, task: Task) -> None:
         """Block a task (no-op beyond removal for exited tasks —
@@ -91,51 +146,129 @@ class Scheduler:
             task.state = TaskState.RUNNABLE
             self.add(task)
 
-    # -- switching ----------------------------------------------------------
+    def _observe_depth(self) -> None:
+        """Keep the ``kernel.sched.runqueue_depth`` gauge current."""
+        obs = self.machine.obs
+        if obs.enabled:
+            obs.gauge_set("kernel.sched.runqueue_depth",
+                          sum(len(queue) for queue in self._queues))
 
-    def switch_to(self, task: Task) -> None:
-        """Switch the (single simulated) CPU to ``task``, charging costs."""
-        if task is self.current:
+    # -- switching -------------------------------------------------------
+
+    def switch_to(self, task: Task, cpu: Optional[int] = None) -> None:
+        """Dispatch ``task`` on ``cpu`` (default: the current CPU),
+        charging the context-switch cost — plus, on a
+        multi-address-space OS, the flush of that CPU's private TLB."""
+        if cpu is None:
+            cpu = self.machine.current_cpu
+        if task is self._current[cpu]:
             return
-        costs = self.machine.costs
+        if self.machine.irq_depth > 0:
+            raise AssertionError(
+                "scheduling while atomic: context switch inside an "
+                "IRQ-disabled critical section")
+        machine = self.machine
+        costs = machine.costs
         if self.same_address_space:
-            self.machine.charge(costs.context_switch_sas_ns, "ctx_switch")
+            machine.charge(costs.context_switch_sas_ns, "ctx_switch")
         else:
-            self.machine.charge(costs.context_switch_mas_ns, "ctx_switch")
-            self.machine.tlb.flush()
-        self.machine.counters.add("context_switch")
-        self.machine.obs.count("kernel.sched.context_switch")
+            machine.charge(costs.context_switch_mas_ns, "ctx_switch")
+            machine.cpus[cpu].tlb.flush()
+        machine.counters.add("context_switch")
+        machine.obs.count("kernel.sched.context_switch")
         self.switches += 1
-        if self.current is not None and \
-                self.current.state is TaskState.RUNNABLE:
-            self.add(self.current)
+        previous = self._current[cpu]
+        if previous is not None and previous.state is TaskState.RUNNABLE:
+            self.add(previous)
         self.remove(task)
-        self.current = task
+        self._current[cpu] = task
+        task.last_cpu = cpu
 
-    def pick_next(self) -> Optional[Task]:
-        """Round-robin choice (does not switch); a ``decision_source``
-        may override the head-of-queue pick among the runnable set."""
-        while self._runnable:
-            task = next(iter(self._runnable))
+    def pick_next(self, cpu: Optional[int] = None) -> Optional[Task]:
+        """Next runnable task for ``cpu``'s local queue (no stealing;
+        falls back to any queue so ``yield`` still finds global work)."""
+        if cpu is None:
+            cpu = self.machine.current_cpu
+        local = self._pick_local(cpu)
+        if local is not None:
+            return local
+        for other in range(self.num_cpus):
+            if other == cpu:
+                continue
+            for task in self._queues[other]:
+                if task.state is TaskState.RUNNABLE and \
+                        task.can_run_on(cpu):
+                    return task
+        return None
+
+    def _pick_local(self, cpu: int) -> Optional[Task]:
+        queue = self._queues[cpu]
+        while queue:
+            task = next(iter(queue))
             if task.state is TaskState.RUNNABLE:
                 break
-            del self._runnable[task]
-        if not self._runnable:
+            del queue[task]
+        if not queue:
             return None
         if self.decision_source is not None:
-            candidates = [task for task in self._runnable
+            candidates = [task for task in queue
                           if task.state is TaskState.RUNNABLE]
             chosen = self.decision_source(candidates)
             if chosen is not None:
                 return chosen
-        return next(iter(self._runnable))
+        return next(iter(queue))
 
-    def queued_tasks(self) -> list:
-        """Every task currently sitting in the run queue (audit hook)."""
-        return list(self._runnable)
+    def queued_tasks(self) -> List[Task]:
+        """Every task sitting in any per-CPU queue (audit hook)."""
+        return [task for queue in self._queues for task in queue]
+
+    def pick_for_cpu(self, cpu: int) -> Optional[Task]:
+        """The executor's dispatch choice: local FIFO first, then steal."""
+        task = self._pick_local(cpu)
+        if task is not None:
+            return task
+        return self.steal_into(cpu)
+
+    def steal_into(self, cpu: int) -> Optional[Task]:
+        """Steal one task for an idle CPU.
+
+        Victims are scanned most-loaded-first (lowest id breaks ties)
+        and the *oldest* waiting task migrates — it has waited longest
+        and its cache is coldest.  A task is only taken if RUNNABLE and
+        its affinity admits the stealing CPU.  The chaos point
+        ``smp.steal.abort`` models losing the victim's queue lock: the
+        balancer gives up this round and retries at the next idle tick.
+        """
+        machine = self.machine
+        chaos = machine.chaos
+        if chaos.enabled and chaos.should_fire("smp.steal.abort"):
+            self.steal_aborts += 1
+            machine.obs.count("smp.sched.steal_aborts")
+            chaos.note_recovery("smp.steal.abort")
+            return None
+        victims = sorted(
+            (victim for victim in range(self.num_cpus)
+             if victim != cpu and self._queues[victim]),
+            key=lambda victim: (-len(self._queues[victim]), victim),
+        )
+        for victim in victims:
+            for task in list(self._queues[victim]):
+                if task.state is not TaskState.RUNNABLE:
+                    del self._queues[victim][task]
+                    continue
+                if not task.can_run_on(cpu):
+                    continue
+                del self._queues[victim][task]
+                self._queues[cpu][task] = None
+                self.steals += 1
+                machine.charge(machine.costs.work_steal_ns, "steal")
+                machine.obs.count("smp.sched.steals")
+                machine.counters.add("work_steal")
+                return task
+        return None
 
     def yield_current(self) -> Optional[Task]:
-        """Voluntarily yield: switch to the next runnable task, if any."""
+        """Voluntarily yield the current CPU to its next runnable task."""
         task = self.pick_next()
         if task is not None:
             self.switch_to(task)
@@ -144,5 +277,6 @@ class Scheduler:
     @property
     def runnable_count(self) -> int:
         return sum(
-            1 for task in self._runnable if task.state is TaskState.RUNNABLE
+            1 for queue in self._queues for task in queue
+            if task.state is TaskState.RUNNABLE
         )

@@ -79,9 +79,6 @@ class Machine:
         self.cores: List[Core] = [
             Core(self, core_id) for core_id in range(self.config.cores)
         ]
-        #: CPU 0's private TLB (single-CPU call sites and tests use
-        #: this alias; each core owns its own instance)
-        self.tlb = self.cores[0].tlb
         #: the inter-processor-interrupt bus (see :mod:`repro.smp.ipi`)
         self.ipi = IpiBus(self)
         #: kernel spinlocks (free no-ops while ``num_cpus == 1``)

@@ -9,10 +9,10 @@ Turns the single-CPU machine into an N-core SMP simulator:
 * :mod:`repro.smp.locks` — the minimal kernel locking discipline
   (spinlocks + IRQ-disable guards) serializing fork, CoW fault
   handling, and the fd table;
-* :mod:`repro.smp.sched` — per-CPU run queues with CPU-affinity masks
-  and a deterministic work-stealing load balancer;
 * :mod:`repro.smp.exec` — the per-CPU-timeline executor that runs
-  synchronous driver code as a parallel schedule;
+  synchronous driver code as a parallel schedule over the kernel's
+  per-CPU work-stealing scheduler (:mod:`repro.kernel.sched`, the one
+  scheduler for every CPU count);
 * :mod:`repro.smp.runner` — the FaaS / nginx-workers scaling workloads
   behind ``python -m repro.harness smp`` (imports the full OS stack,
   so it is intentionally *not* re-exported here).
@@ -26,14 +26,12 @@ bit-identical.
 from repro.smp.exec import SmpExecutor
 from repro.smp.ipi import IpiBus, tlb_shootdown
 from repro.smp.locks import IrqGuard, KernelLocks, SpinLock
-from repro.smp.sched import SmpScheduler
 
 __all__ = [
     "IpiBus",
     "IrqGuard",
     "KernelLocks",
     "SmpExecutor",
-    "SmpScheduler",
     "SpinLock",
     "tlb_shootdown",
 ]

@@ -179,7 +179,10 @@ class TestRemovedShims:
         assert callable(Machine)
 
     def test_make_scheduler_shim_is_gone(self):
-        from repro.kernel.sched import make_scheduler
+        # the kernel constructs its one Scheduler directly; there is
+        # no factory left to re-export
+        from repro.kernel import sched
         assert not hasattr(api, "make_scheduler")
         assert "make_scheduler" not in api.__all__
-        assert callable(make_scheduler)
+        assert not hasattr(sched, "make_scheduler")
+        assert callable(sched.Scheduler)

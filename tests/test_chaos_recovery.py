@@ -126,9 +126,10 @@ class TestHardwareRecovery:
         engine = ChaosEngine(
             seed=7, mix=FaultMix.parse("hw.tlb.shootdown_loss=1.0"))
         engine.attach(machine)
-        before = machine.tlb.flush_count
-        machine.tlb.flush()
-        assert machine.tlb.flush_count == before + 2   # flush + re-issue
+        tlb = machine.cores[0].tlb
+        before = tlb.flush_count
+        tlb.flush()
+        assert tlb.flush_count == before + 2   # flush + re-issue
         assert engine.recovered["hw.tlb.shootdown_loss"] == 1
 
 
@@ -242,8 +243,8 @@ def _exercise_smp(point):
     elif point == "smp.tlb.stale_storm":
         machine.tlb_shootdown([0, 1])
     elif point == "smp.steal.abort":
-        from repro.smp.sched import SmpScheduler
-        sched = SmpScheduler(machine, True)
+        from repro.kernel.sched import Scheduler
+        sched = Scheduler(machine, True)
         assert sched.steal_into(1) is None
     else:  # pragma: no cover - catalog grew without a coverage driver
         raise AssertionError(f"no exercise driver for {point}")
@@ -283,7 +284,7 @@ def _exercise(point):
         src = os_.machine.phys.alloc()
         os_.machine.phys.copy_frame(src, preserve_tags=True)
     elif point == "hw.tlb.shootdown_loss":
-        os_.machine.tlb.flush()
+        os_.machine.cores[0].tlb.flush()
     elif point.startswith("kernel.syscall."):
         with pytest.raises(Exception):
             ctx.syscall("getpid")              # rate 1.0: budget exhausts

@@ -43,9 +43,10 @@ class TestCore:
 class TestTLB:
     def test_flush_charges_and_counts(self, machine):
         before = machine.clock.now_ns
-        machine.tlb.flush()
-        machine.tlb.flush()
-        assert machine.tlb.flush_count == 2
+        tlb = machine.cores[0].tlb
+        tlb.flush()
+        tlb.flush()
+        assert tlb.flush_count == 2
         assert machine.counters.get("tlb_flush") == 2
         assert machine.clock.now_ns - before == \
             2 * int(machine.costs.tlb_flush_ns)

@@ -225,7 +225,7 @@ class _Pair:
             self.both(lambda: self.phys.decref_many(batch),
                       lambda: model.decref_many(batch))
         elif kind == "flush":
-            self.machine.tlb.flush()
+            self.machine.cores[0].tlb.flush()
 
     def check(self):
         space, model, phys = self.space, self.model, self.phys

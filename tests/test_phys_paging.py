@@ -277,6 +277,33 @@ class TestAddressSpace:
             space.write(base, b"x")
         assert machine.clock.now_ns - before >= machine.costs.page_fault_ns
 
+    def test_write_run_charges_stores_before_a_raising_one(self, machine):
+        """A raising store must not drop the memcpy charges of the
+        stores that completed before it: ``write_run`` charges what the
+        per-call ``write`` loop charges."""
+        data = b"abcdefgh" * 4            # a store charge of >= 1 ns
+
+        def charged(store):
+            space, base = self.make_space(machine, pages=1)
+            vaddrs = [base, base + 64, base + 128, base + 8 * self.PAGE]
+            before = machine.clock.now_ns
+            writes_before = machine.clock.bucket_ns("mem_write")
+            with pytest.raises(UnmappedAddressError):
+                store(space, vaddrs)
+            return (machine.clock.now_ns - before,
+                    machine.clock.bucket_ns("mem_write") - writes_before)
+
+        def loop(space, vaddrs):
+            for vaddr in vaddrs:
+                space.write(vaddr, data)
+
+        per_call = charged(loop)
+        batched = charged(lambda space, vaddrs: space.write_run(vaddrs, data))
+        assert batched == per_call
+        store_ns = int(round(machine.costs.memcpy_ns_per_byte * len(data)))
+        assert store_ns > 0
+        assert per_call[1] == 3 * store_ns
+
     def test_privileged_bypasses_perms(self, machine):
         space, base = self.make_space(machine, perms=PagePerm.read_only())
         space.write(base, b"kernel", privileged=True)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.kernel.sched import Scheduler
 from repro.kernel.task import Process, TaskState
 from repro.machine import Machine
-from repro.smp.sched import SmpScheduler
 
 
 def make_task():
@@ -86,7 +85,7 @@ class TestNoResurrection:
         os_.sched.block(task)              # late blind block: still EXITED
         assert task.state is TaskState.EXITED
         os_.sched.add(task)                # and it cannot re-enter the queue
-        assert all(t is not task for t in os_.sched._runnable)
+        assert all(t is not task for t in os_.sched.queued_tasks())
 
 
 # ----------------------------------------------------------------------
@@ -109,8 +108,8 @@ task_specs = st.lists(
 
 
 def build_smp_sched(specs):
-    sched = SmpScheduler(Machine(num_cpus=NUM_CPUS),
-                         same_address_space=True)
+    sched = Scheduler(Machine(num_cpus=NUM_CPUS),
+                      same_address_space=True)
     proc = Process(pid=100, name="fuzz")
     tasks = []
     for affinity, exited, queue in specs:

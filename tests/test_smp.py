@@ -4,11 +4,10 @@ acceptance criteria for the simulated multi-core machine."""
 
 import pytest
 
-from repro.kernel.sched import Scheduler, make_scheduler
+from repro.kernel.sched import Scheduler
 from repro.kernel.task import Process, TaskState
 from repro.machine import Machine
 from repro.params import DEFAULT_COSTS
-from repro.smp.sched import SmpScheduler
 
 
 def smp_machine(num_cpus=4, seed=7, obs=True):
@@ -31,7 +30,7 @@ class TestMachineWiring:
         machine = Machine()
         assert machine.num_cpus == 1
         assert len(machine.cpus) == 1
-        assert machine.tlb is machine.cores[0].tlb
+        assert not hasattr(machine, "tlb")     # per-core TLBs only
 
     def test_cpus_grow_config_cores_when_needed(self):
         machine = Machine(num_cpus=8)
@@ -45,10 +44,13 @@ class TestMachineWiring:
         assert len(set(map(id, tlbs))) == 4
         assert [tlb.cpu_id for tlb in tlbs] == [0, 1, 2, 3]
 
-    def test_scheduler_factory_picks_by_cpu_count(self):
-        assert isinstance(make_scheduler(Machine(), True), Scheduler)
-        assert isinstance(make_scheduler(smp_machine(2, obs=False), True),
-                          SmpScheduler)
+    def test_one_scheduler_class_for_every_cpu_count(self):
+        from repro.core import UForkOS
+        one = UForkOS(machine=Machine())
+        two = UForkOS(machine=smp_machine(2, obs=False))
+        assert type(one.sched) is type(two.sched) is Scheduler
+        assert len(one.sched._queues) == 1
+        assert len(two.sched._queues) == 2
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +148,7 @@ class TestLocks:
 
     def test_scheduling_while_atomic_asserts(self):
         machine = smp_machine(2)
-        sched = SmpScheduler(machine, same_address_space=True)
+        sched = Scheduler(machine, same_address_space=True)
         task = make_task()
         sched.add(task)
         with machine.locks.fork.held():
@@ -161,7 +163,7 @@ class TestLocks:
 class TestSmpScheduler:
     def test_placement_spreads_over_idle_cpus(self):
         machine = smp_machine(4)
-        sched = SmpScheduler(machine, True)
+        sched = Scheduler(machine, True)
         tasks = [make_task(pid) for pid in range(100, 104)]
         for task in tasks:
             sched.add(task)
@@ -170,7 +172,7 @@ class TestSmpScheduler:
 
     def test_affinity_restricts_placement_and_picks(self):
         machine = smp_machine(4)
-        sched = SmpScheduler(machine, True)
+        sched = Scheduler(machine, True)
         task = make_task()
         task.pin(2)
         sched.add(task)
@@ -180,7 +182,7 @@ class TestSmpScheduler:
 
     def test_affinity_excluding_all_online_cpus_raises(self):
         machine = smp_machine(2)
-        sched = SmpScheduler(machine, True)
+        sched = Scheduler(machine, True)
         task = make_task()
         task.pin(5)                             # offline CPU
         with pytest.raises(ValueError, match="excludes every online"):
@@ -192,7 +194,7 @@ class TestSmpScheduler:
 
     def test_steal_takes_oldest_from_most_loaded_victim(self):
         machine = smp_machine(2)
-        sched = SmpScheduler(machine, True)
+        sched = Scheduler(machine, True)
         first, second = make_task(100), make_task(101)
         sched._queues[0].update({first: None, second: None})
         stolen = sched.steal_into(1)
@@ -202,7 +204,7 @@ class TestSmpScheduler:
 
     def test_steal_respects_affinity(self):
         machine = smp_machine(2)
-        sched = SmpScheduler(machine, True)
+        sched = Scheduler(machine, True)
         pinned = make_task()
         pinned.pin(0)
         sched._queues[0][pinned] = None
@@ -211,7 +213,7 @@ class TestSmpScheduler:
 
     def test_steal_never_resurrects_exited_task(self):
         machine = smp_machine(2)
-        sched = SmpScheduler(machine, True)
+        sched = Scheduler(machine, True)
         dead = make_task()
         sched._queues[0][dead] = None
         dead.state = TaskState.EXITED
@@ -220,7 +222,7 @@ class TestSmpScheduler:
 
     def test_remove_is_idempotent_and_clears_current(self):
         machine = smp_machine(2)
-        sched = SmpScheduler(machine, True)
+        sched = Scheduler(machine, True)
         task = make_task()
         sched.add(task)
         sched.switch_to(task, cpu=1)
@@ -232,7 +234,7 @@ class TestSmpScheduler:
 
     def test_block_and_wake_never_resurrect_exited(self):
         machine = smp_machine(2)
-        sched = SmpScheduler(machine, True)
+        sched = Scheduler(machine, True)
         task = make_task()
         task.state = TaskState.EXITED
         sched.block(task)
@@ -244,7 +246,7 @@ class TestSmpScheduler:
 
     def test_mas_switch_flushes_only_that_cpus_tlb(self):
         machine = smp_machine(2)
-        sched = SmpScheduler(machine, same_address_space=False)
+        sched = Scheduler(machine, same_address_space=False)
         task = make_task()
         sched.add(task)
         flush0 = machine.cpus[0].tlb.flush_count

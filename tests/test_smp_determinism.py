@@ -5,6 +5,8 @@ the tentpole; mirrors tests/test_chaos_determinism.py)."""
 
 import json
 
+import pytest
+
 from repro.smp.runner import run_smp
 
 SEED = 7
@@ -81,3 +83,31 @@ def test_uniprocessor_run_has_no_smp_traffic():
     assert summary["steals"] == 0
     assert summary["shootdown_broadcasts"] == 0
     assert summary["completed"] == REQUESTS
+
+
+#: ``obs_export_sha256`` of 1-CPU runs (seed 7, 16 requests), recorded
+#: when 1-CPU machines still ran a separate round-robin scheduler: the
+#: per-CPU scheduler must reproduce that schedule byte for byte
+UNIPROCESSOR_DIGESTS = {
+    ("faas", None):
+        "2b13d2ff1f9aedc917c5c1d2c6c8f3494413efefee264401c6ef856f8aa6227b",
+    ("faas", MIX):
+        "b54f184c0b6e7979e199526d4ad278f527ad52ff19a48cd7742aa5bea52cab50",
+    ("nginx", None):
+        "f8f56035edbd01823d2ff3ddf9333b362762947a2ed3c743ebcc7cc4eed31785",
+    ("nginx", MIX):
+        "76c0b20d1309ed6eb43cf4525525a46b40a02b3602d809512d342429d4387081",
+    ("forkbench", None):
+        "a5ee90cc79ed294b0e93bf0419231e608465562b0768ce9d1cee9385c9b744a1",
+    ("forkbench", MIX):
+        "67254c9ea4c9ce48551844a0a6faeeb59af6e79c2b916b599bb10f43099c8962",
+}
+
+
+@pytest.mark.parametrize("workload,mix", sorted(
+    UNIPROCESSOR_DIGESTS, key=lambda key: (key[0], key[1] or "")))
+def test_uniprocessor_run_is_pinned(workload, mix):
+    summary = run_smp(seed=SEED, num_cpus=1, requests=REQUESTS,
+                      workload=workload, mix=mix)
+    assert summary["obs_export_sha256"] == \
+        UNIPROCESSOR_DIGESTS[(workload, mix)]
