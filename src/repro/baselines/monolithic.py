@@ -64,16 +64,17 @@ def handle_cow_fault(space: AddressSpace, vaddr: int,
     # runs under the fault spinlock (free at 1 CPU).
     with machine.locks.fault.held():
         vpn = vaddr // machine.config.page_size
-        pte = space.page_table.get(vpn)
-        if pte is None or not pte.cow:
+        entry = space.entry(vpn)
+        if entry is None or not entry[2]:
             return False
-        if machine.phys.refcount(pte.frame) > 1:
-            new_frame = machine.phys.copy_frame(pte.frame, preserve_tags=True)
+        frame, perms = entry[0], entry[1]
+        if machine.phys.refcount(frame) > 1:
+            new_frame = machine.phys.copy_frame(frame, preserve_tags=True)
             space.replace_frame(vpn, new_frame)
             machine.counters.add("cow_page_copies")
         machine.obs.count("baselines.monolithic.cow_breaks")
-        pte.perms |= PagePerm.WRITE
-        pte.cow = False
+        space.protect_page(vpn, perms | PagePerm.WRITE)
+        space.set_cow(vpn, False)
         return True
 
 
@@ -208,25 +209,26 @@ class MonolithicOS(AbstractOS):
         child_space = AddressSpace(machine, f"as-{proc.name}-{child.pid}")
         child_space.fault_handler = handle_cow_fault
         shm_vpns = getattr(proc, "shm_vpns", set())
+        space = proc.space
         with obs.span("pte_copy"):
-            for vpn, pte in list(proc.space.page_table.entries()):
+            for vpn, frame, perms, cow, _note in \
+                    space.mapped_items(0, self.machine.config.va_pages):
                 machine.charge(machine.costs.pte_copy_ns, "fork_pte_copy")
-                writable = bool(pte.perms & PagePerm.WRITE)
                 if vpn in shm_vpns:
                     # MAP_SHARED memory survives fork shared and
                     # writable on both sides (POSIX): same frames, no
                     # copy-on-write
-                    child_space.map_page(vpn, pte.frame, pte.perms,
-                                         incref=True)
-                elif writable:
+                    child_space.map_page(vpn, frame, perms, incref=True)
+                elif perms & PagePerm.WRITE:
                     # mark both sides CoW
-                    pte.perms &= ~PagePerm.WRITE
-                    pte.cow = True
-                    child_space.map_page(vpn, pte.frame,
-                                         pte.perms, incref=True, cow=True)
+                    perms &= ~PagePerm.WRITE
+                    space.protect_page(vpn, perms)
+                    space.set_cow(vpn, True)
+                    child_space.map_page(vpn, frame, perms, incref=True,
+                                         cow=True)
                 else:
-                    child_space.map_page(vpn, pte.frame, pte.perms,
-                                         incref=True, cow=pte.cow)
+                    child_space.map_page(vpn, frame, perms, incref=True,
+                                         cow=cow)
         child.space = child_space
         # shared-memory bindings carry over (same VAs: no rebase needed)
         child.shm_vpns = set(shm_vpns)
@@ -283,23 +285,25 @@ class MonolithicOS(AbstractOS):
         if touch <= 0:
             return
         data_base = allocator.data_base
+        space = proc.space
         touched = 0
         for step in range(touch):
             index = step * used_pages // touch
             vpn = (data_base + index * page) // page
-            pte = proc.space.page_table.get(vpn)
-            if pte is None or not pte.cow:
+            entry = space.entry(vpn)
+            if entry is None or not entry[2]:
                 continue
+            frame, perms = entry[0], entry[1]
             # the allocator writes bookkeeping words into the page: one
             # CoW fault + private copy (tag-preserving, like hardware)
             machine.charge(machine.costs.page_fault_ns, "page_fault")
-            if machine.phys.refcount(pte.frame) > 1:
-                new_frame = machine.phys.copy_frame(pte.frame,
+            if machine.phys.refcount(frame) > 1:
+                new_frame = machine.phys.copy_frame(frame,
                                                     preserve_tags=True)
-                proc.space.replace_frame(vpn, new_frame)
+                space.replace_frame(vpn, new_frame)
                 machine.counters.add("cow_page_copies")
-            pte.perms |= PagePerm.WRITE
-            pte.cow = False
+            space.protect_page(vpn, perms | PagePerm.WRITE)
+            space.set_cow(vpn, False)
             touched += 1
         machine.counters.add("allocator_touch_pages", touched)
         machine.obs.count("baselines.monolithic.allocator_touch_pages",
@@ -312,8 +316,7 @@ class MonolithicOS(AbstractOS):
     def _teardown_memory(self, proc: Process) -> None:
         machine = self.machine
         machine.charge(machine.costs.monolithic_exit_ns, "exit")
-        for vpn in list(proc.space.page_table.vpns()):
-            proc.space.unmap_page(vpn)
+        proc.space.unmap_range(0, self.machine.config.va_pages)
 
     def memory_of(self, proc: Process) -> float:
         return (
@@ -324,11 +327,12 @@ class MonolithicOS(AbstractOS):
 
     def private_bytes(self, proc: Process) -> int:
         page = self.machine.config.page_size
-        total = 0
-        for _vpn, pte in proc.space.page_table.entries():
-            if self.machine.phys.refcount(pte.frame) == 1:
-                total += page
-        return total
+        refcount = self.machine.phys.refcount
+        return sum(
+            page for _vpn, frame, _perms, _cow, _note
+            in proc.space.mapped_items(0, self.machine.config.va_pages)
+            if refcount(frame) == 1
+        )
 
     # ------------------------------------------------------------------
     # Shared memory

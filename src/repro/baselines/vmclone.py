@@ -141,12 +141,13 @@ class VMCloneOS(AbstractOS):
 
         child_space = AddressSpace(machine, f"vm-{proc.name}-{child.pid}")
         with obs.span("clone_pages"):
-            for vpn, pte in proc.space.page_table.entries():
+            for vpn, frame, perms, _cow, _note in \
+                    proc.space.mapped_items(0, machine.config.va_pages):
                 machine.charge(costs.vm_clone_page_ns, "vm_clone_page")
-                new_frame = machine.phys.copy_frame(pte.frame,
+                new_frame = machine.phys.copy_frame(frame,
                                                     preserve_tags=True,
                                                     charge=False)
-                child_space.map_page(vpn, new_frame, pte.perms)
+                child_space.map_page(vpn, new_frame, perms)
         child.space = child_space
 
         # same guest VA in the clone: registers copy verbatim
@@ -177,8 +178,7 @@ class VMCloneOS(AbstractOS):
         # destroying the domain is hypervisor work
         machine.charge(machine.costs.hypercall_ns * 4, "exit")
         machine.charge(machine.costs.monolithic_exit_ns, "exit")
-        for vpn in list(proc.space.page_table.vpns()):
-            proc.space.unmap_page(vpn)
+        proc.space.unmap_range(0, machine.config.va_pages)
 
     def memory_of(self, proc: Process) -> float:
         """A cloned VM shares nothing: its whole guest memory counts."""
@@ -190,7 +190,9 @@ class VMCloneOS(AbstractOS):
 
     def private_bytes(self, proc: Process) -> int:
         page = self.machine.config.page_size
+        refcount = self.machine.phys.refcount
         return sum(
-            page for _vpn, pte in proc.space.page_table.entries()
-            if self.machine.phys.refcount(pte.frame) == 1
+            page for _vpn, frame, _perms, _cow, _note
+            in proc.space.mapped_items(0, self.machine.config.va_pages)
+            if refcount(frame) == 1
         )

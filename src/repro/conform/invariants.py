@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.core.strategies import iter_share_notes
+from repro.core.strategies import ShareNote
+from repro.hw.paging import PagePerm
 from repro.kernel.task import TaskState
 
 
@@ -126,18 +127,26 @@ def _check_share_notes(os_: Any) -> List[str]:
             continue
         if all(space is not seen for seen in spaces):
             spaces.append(space)
+    # a consistent kernel never leaves a ShareNote whose frame has been
+    # freed, whose role is unknown, or whose restored permissions would
+    # be narrower than the current ones (sharing only removes perms)
+    refcount = os_.machine.phys.refcount
     for space in spaces:
-        for vpn, pte, note in iter_share_notes(space):
+        for vpn, note in space.noted_items():
+            if not isinstance(note, ShareNote):
+                continue
+            # notes live only on mapped vpns (unmapping drops them)
+            frame, perms, _cow, _note = space.entry(vpn)
             if note.role not in ("parent", "child"):
                 violations.append(
                     f"share: vpn {vpn:#x} has unknown role {note.role!r}")
-            if os_.machine.phys.refcount(pte.frame) <= 0:
+            if refcount(frame) <= 0:
                 violations.append(
-                    f"share: vpn {vpn:#x} notes freed frame {pte.frame}")
-            if pte.perms & ~note.orig_perms:
+                    f"share: vpn {vpn:#x} notes freed frame {frame}")
+            if perms & ~int(note.orig_perms):
                 violations.append(
-                    f"share: vpn {vpn:#x} perms {pte.perms!r} wider than "
-                    f"pre-share {note.orig_perms!r}")
+                    f"share: vpn {vpn:#x} perms {PagePerm(perms)!r} wider "
+                    f"than pre-share {note.orig_perms!r}")
     return violations
 
 

@@ -57,28 +57,25 @@ def migrate(os: Any, proc: Process) -> int:
     shm_vpns = getattr(proc, "shm_vpns", set())
 
     moved = []
-    for vpn in range(old_base // page, old_top // page):
-        pte = os.space.page_table.get(vpn)
-        if pte is None:
-            continue
+    for vpn, frame, pte_perms, _cow, note in os.space.mapped_items(
+            old_base // page, old_top // page):
         new_vpn = vpn + delta_pages
         if vpn in shm_vpns:
             # shared memory: same frame, new address, no relocation
-            os.space.map_page(new_vpn, pte.frame, pte.perms, incref=True)
+            os.space.map_page(new_vpn, frame, pte_perms, incref=True)
             machine.charge(machine.costs.pte_copy_ns, "migrate_pte")
             moved.append(vpn)
             continue
-        shared = machine.phys.refcount(pte.frame) > 1
-        note = pte.note if isinstance(pte.note, ShareNote) else None
-        perms = note.orig_perms if note is not None else pte.perms
+        shared = machine.phys.refcount(frame) > 1
+        perms = note.orig_perms if isinstance(note, ShareNote) \
+            else pte_perms
         if shared:
             # a forked child still depends on the original frame: take a
             # private copy for the migrated parent (CoW-break style)
-            new_frame = machine.phys.copy_frame(pte.frame,
-                                                preserve_tags=True)
+            new_frame = machine.phys.copy_frame(frame, preserve_tags=True)
             machine.counters.add("migrate_page_copies")
         else:
-            new_frame = pte.frame
+            new_frame = frame
             machine.phys.incref(new_frame)  # balanced by unmap below
             machine.charge(machine.costs.pte_copy_ns, "migrate_pte")
         relocate_frame(machine, machine.phys.frame(new_frame), regions)

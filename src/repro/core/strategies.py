@@ -98,13 +98,13 @@ def setup_shared_page(space: AddressSpace, parent_vpn: int, child_vpn: int,
                       strategy: CopyStrategy, regions: RegionPair) -> None:
     """Fork-time setup for one page under CoA/CoPA."""
     machine = space.machine
-    parent_pte = space.page_table.get(parent_vpn)
-    orig = parent_pte.note.orig_perms if isinstance(parent_pte.note, ShareNote) \
-        else parent_pte.perms
+    frame, perms, _cow, note = space.entry(parent_vpn)
+    shared = isinstance(note, ShareNote)
+    orig = note.orig_perms if shared else PagePerm(perms)
 
     # Child maps the parent's frame at the mirrored address.
     space.map_page(
-        child_vpn, parent_pte.frame,
+        child_vpn, frame,
         child_share_perms(strategy, orig), incref=True,
         note=ShareNote("child", strategy, regions, orig),
     )
@@ -113,9 +113,10 @@ def setup_shared_page(space: AddressSpace, parent_vpn: int, child_vpn: int,
         machine.charge(machine.costs.pte_coa_extra_ns, "fork_map")
 
     # Parent loses write permission (lazily restored on its next write).
-    parent_pte.perms = parent_share_perms(orig)
-    if not isinstance(parent_pte.note, ShareNote):
-        parent_pte.note = ShareNote("parent", strategy, regions, orig)
+    space.protect_page(parent_vpn, parent_share_perms(orig))
+    if not shared:
+        space.set_note(parent_vpn, ShareNote("parent", strategy, regions,
+                                             orig))
     machine.charge(machine.costs.pte_protect_ns, "fork_protect")
 
 
@@ -408,23 +409,3 @@ def resolve_all_pending(space: AddressSpace, region_base: int,
         machine.obs.count("core.strategies.resolved_pending_pages",
                           resolved)
     return resolved
-
-
-def iter_share_notes(space: AddressSpace):
-    """Yield ``(vpn, pte, note)`` for every still-shared page.
-
-    Audit hook for the conformance invariants: a consistent kernel
-    never leaves a :class:`ShareNote` whose frame has been freed, whose
-    role is unknown, or whose restored permissions would be *narrower*
-    than the current ones (sharing only ever removes permissions).
-
-    Both representations yield ascending vpn order: the flat table
-    serves the walk from its exact sparse note dict, the
-    self-contained table from a full (sorted) page-table scan — the
-    audited set is identical either way.
-    """
-    for vpn, note in space.noted_items():
-        if isinstance(note, ShareNote):
-            pte = space.page_table.get(vpn)
-            if pte is not None:
-                yield vpn, pte, note

@@ -172,7 +172,7 @@ class UForkOS(AbstractOS):
     def _handle_demand_zero(self, vaddr: int) -> bool:
         page = self.machine.config.page_size
         vpn = vaddr // page
-        if self.space.page_table.get(vpn) is not None:
+        if self.space.frame_of(vpn) is not None:
             return False
         for lo, hi in self._demand_zero.values():
             if lo <= vaddr < hi:
@@ -307,37 +307,35 @@ class UForkOS(AbstractOS):
         # undo: unmap whatever landed in the child's region and lift the
         # write protection this fork placed on parent pages (registered
         # up front so an abort *inside* the loop still cleans up)
-        newly_shared: List[Any] = []
+        newly_shared: List[int] = []
         tx.on_abort(lambda: self._undo_fork_pages(child, newly_shared))
         with obs.span("copy_pages"):
             if not self._copy_pages_bulk(strategy, regions, delta_pages,
                                          eager, shm_vpns, lo, hi,
                                          newly_shared):
-                for vpn in range(lo, hi):
-                    parent_pte = self.space.page_table.get(vpn)
-                    if parent_pte is None:
-                        continue  # demand areas (mmap window) may be sparse
+                # the body edits only the parent vpn it visits and child
+                # vpns outside [lo, hi), so the snapshot stays exact
+                for vpn, frame, perms, _cow, note in \
+                        self.space.mapped_items(lo, hi):
                     child_vpn = vpn + delta_pages
                     if vpn in shm_vpns:
                         # MAP_SHARED memory: same frames, by design (§3.7)
-                        self.space.map_page(child_vpn, parent_pte.frame,
-                                            parent_pte.perms, incref=True)
+                        self.space.map_page(child_vpn, frame, perms,
+                                            incref=True)
                         machine.charge(machine.costs.pte_bulk_share_ns,
                                        "fork_map")
                     elif vpn in eager or \
                             strategy is CopyStrategy.FULL_COPY:
-                        orig = (parent_pte.note.orig_perms
-                                if isinstance(parent_pte.note, ShareNote)
-                                else parent_pte.perms)
-                        copy_page_for_child(self.space, child_vpn,
-                                            parent_pte.frame,
+                        orig = (note.orig_perms
+                                if isinstance(note, ShareNote)
+                                else PagePerm(perms))
+                        copy_page_for_child(self.space, child_vpn, frame,
                                             orig, regions, map_new=True)
                     else:
-                        was_shared = isinstance(parent_pte.note, ShareNote)
                         setup_shared_page(self.space, vpn, child_vpn,
                                           strategy, regions)
-                        if not was_shared:
-                            newly_shared.append(parent_pte)
+                        if not isinstance(note, ShareNote):
+                            newly_shared.append(vpn)
         self._abort_point("core.ufork.abort.copy_pages", proc)
 
         # §2.2: μFork knows the μprocess's CPU footprint, so the
@@ -395,7 +393,7 @@ class UForkOS(AbstractOS):
     def _copy_pages_bulk(self, strategy: CopyStrategy, regions: RegionPair,
                          delta_pages: int, eager: Set[int],
                          shm_vpns: Set[int], lo: int, hi: int,
-                         newly_shared: List[Any]) -> bool:
+                         newly_shared: List[int]) -> bool:
         """Vectorized page-duplication phase (see docs/ARCHITECTURE.md).
 
         One region sweep classifies every mapping, then each class is
@@ -487,24 +485,19 @@ class UForkOS(AbstractOS):
                                regions, newly_shared)
         return True
 
-    def _undo_fork_pages(self, child: Process, newly_shared: List[Any]) -> None:
+    def _undo_fork_pages(self, child: Process, newly_shared: List[int]) -> None:
         """Rollback of the page-duplication phase: unmap every page the
         aborted fork mapped into the child's region (dropping its frame
         references) and restore original permissions on parent pages it
-        write-protected.  ``newly_shared`` holds parent vpns (bulk
-        path) or live PTEs (per-page path)."""
+        write-protected (``newly_shared`` holds their vpns)."""
         page = self.machine.config.page_size
         self.space.unmap_range(child.region_base // page,
                                child.region_top // page)
-        for entry in newly_shared:
-            if isinstance(entry, int):
-                note = self.space.note_of(entry)
-                if isinstance(note, ShareNote):
-                    self.space.protect_page(entry, note.orig_perms)
-                    self.space.set_note(entry, None)
-            elif isinstance(entry.note, ShareNote):
-                entry.perms = entry.note.orig_perms
-                entry.note = None
+        for vpn in newly_shared:
+            note = self.space.note_of(vpn)
+            if isinstance(note, ShareNote):
+                self.space.protect_page(vpn, note.orig_perms)
+                self.space.set_note(vpn, None)
 
     def _eager_vpns(self, proc: Process) -> Set[int]:
         """Pages copied proactively at fork: GOT + allocator metadata
@@ -623,9 +616,10 @@ class UForkOS(AbstractOS):
     def private_bytes(self, proc: Process) -> int:
         """Bytes of the region backed by frames only this process maps."""
         page = self.machine.config.page_size
-        total = 0
-        for vpn in range(proc.region_base // page, proc.region_top // page):
-            pte = self.space.page_table.get(vpn)
-            if pte is not None and self.machine.phys.refcount(pte.frame) == 1:
-                total += page
-        return total
+        refcount = self.machine.phys.refcount
+        return sum(
+            page for _vpn, frame, _perms, _cow, _note
+            in self.space.mapped_items(proc.region_base // page,
+                                       proc.region_top // page)
+            if refcount(frame) == 1
+        )

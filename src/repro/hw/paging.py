@@ -17,17 +17,19 @@ The page table (docs/ARCHITECTURE.md "Vectorized engine") is a
 arrays — an ``array('q')`` of frame numbers, a ``bytearray`` of
 permission bits and a ``bytearray`` of CoW marks, :data:`CHUNK` vpns
 per chunk — with the free-form ``note`` slot in a sparse side dict.
-:meth:`FlatPageTable.get` hands out interned write-through
-:class:`_PteView` objects so ``pte.perms = x`` call sites work, while
-the bulk operations (:meth:`AddressSpace.mapped_items` /
-:meth:`AddressSpace.map_run` / :meth:`AddressSpace.unmap_range`) and
-the inlined walk fast paths touch the arrays directly.  Iteration is
-*stable*: entries come out in ascending vpn order, so walks, teardown
-frees and audits do not depend on insertion history.
+Everything outside this module reads and edits PTEs through raw
+:class:`AddressSpace` accessors: the bulk operations
+(:meth:`~AddressSpace.mapped_items` / :meth:`~AddressSpace.map_run` /
+:meth:`~AddressSpace.unmap_range`) and the single-slot ones
+(:meth:`~AddressSpace.entry` / :meth:`~AddressSpace.frame_of` /
+:meth:`~AddressSpace.note_of` / :meth:`~AddressSpace.protect_page` /
+:meth:`~AddressSpace.set_cow` / :meth:`~AddressSpace.set_note`), all
+on plain ints and tuples.  Iteration is *stable*: entries come out in
+ascending vpn order, so walks, teardown frees and audits do not depend
+on insertion history.
 
-Callers outside :mod:`repro.hw` must stay on the public surface —
-``get``/``entries``/``map_page``/``mapped_items``/... — and never touch
-the chunk arrays; ``tests/test_memory_api_clean.py`` enforces that
+Callers outside :mod:`repro.hw` never touch ``space.page_table`` or its
+chunk arrays; ``tests/test_memory_api_clean.py`` enforces that
 contract by grep, and ``tests/test_mem_oracle.py`` checks the surface
 against a dict reference model.
 """
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from array import array
 from enum import Enum, IntFlag, auto
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cheri.capability import Capability
 from repro.cheri.codec import CAP_SIZE
@@ -128,65 +130,6 @@ _CHUNK_MASK = CHUNK - 1
 _EMPTY_FRAMES = array("q", [-1]) * CHUNK
 
 
-class _PteView:
-    """A write-through page-table entry over one :class:`FlatPageTable`
-    slot.
-
-    ``frame``/``perms``/``cow`` (the classic copy-on-write marker of
-    the monolithic baseline) and ``note`` (a free-form slot for the
-    owning OS: μFork strategies stash the fork-sharing record here) read
-    and write straight into the chunk arrays.  Views are interned per
-    vpn (one live object per mapped page) and detached on unmap.
-    """
-
-    __slots__ = ("_table", "_vpn", "_chunk", "_index")
-
-    def __init__(self, table: "FlatPageTable", vpn: int) -> None:
-        self._table = table
-        self._vpn = vpn
-        self._chunk = vpn >> CHUNK_SHIFT
-        self._index = vpn & _CHUNK_MASK
-
-    @property
-    def frame(self) -> int:
-        return self._table._frames[self._chunk][self._index]
-
-    @frame.setter
-    def frame(self, value: int) -> None:
-        self._table._frames[self._chunk][self._index] = value
-
-    @property
-    def perms(self) -> PagePerm:
-        return PagePerm(self._table._perms[self._chunk][self._index])
-
-    @perms.setter
-    def perms(self, value: PagePerm) -> None:
-        self._table._perms[self._chunk][self._index] = int(value)
-
-    @property
-    def cow(self) -> bool:
-        return bool(self._table._cow[self._chunk][self._index])
-
-    @cow.setter
-    def cow(self, value: bool) -> None:
-        self._table._cow[self._chunk][self._index] = 1 if value else 0
-
-    @property
-    def note(self) -> Any:
-        return self._table._notes.get(self._vpn)
-
-    @note.setter
-    def note(self, value: Any) -> None:
-        if value is None:
-            self._table._notes.pop(self._vpn, None)
-        else:
-            self._table._notes[self._vpn] = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"_PteView(vpn={self._vpn:#x}, frame={self.frame}, "
-                f"perms={self.perms!r}, cow={self.cow})")
-
-
 class FlatPageTable:
     """Dense chunked parallel-array page table.
 
@@ -200,7 +143,6 @@ class FlatPageTable:
         self._perms: Dict[int, bytearray] = {}
         self._cow: Dict[int, bytearray] = {}
         self._notes: Dict[int, Any] = {}
-        self._views: Dict[int, _PteView] = {}
         self._chunk_len: Dict[int, int] = {}
         self._len = 0
 
@@ -220,7 +162,6 @@ class FlatPageTable:
         self._perms[chunk_id][index] = 0
         self._cow[chunk_id][index] = 0
         self._notes.pop(vpn, None)
-        self._views.pop(vpn, None)
         self._len -= 1
         remaining = self._chunk_len[chunk_id] - 1
         if remaining:
@@ -232,15 +173,6 @@ class FlatPageTable:
             del self._chunk_len[chunk_id]
 
     # -- read surface -------------------------------------------------------
-
-    def get(self, vpn: int) -> Optional[_PteView]:
-        frames = self._frames.get(vpn >> CHUNK_SHIFT)
-        if frames is None or frames[vpn & _CHUNK_MASK] < 0:
-            return None
-        view = self._views.get(vpn)
-        if view is None:
-            view = self._views[vpn] = _PteView(self, vpn)
-        return view
 
     def remove(self, vpn: int) -> int:
         """Drop the mapping at ``vpn``; returns the frame it held."""
@@ -259,23 +191,6 @@ class FlatPageTable:
 
     def __len__(self) -> int:
         return self._len
-
-    def entries(self) -> Iterator[Tuple[int, _PteView]]:
-        for chunk_id in sorted(self._frames):
-            frames = self._frames[chunk_id]
-            base = chunk_id << CHUNK_SHIFT
-            for index in range(CHUNK):
-                if frames[index] >= 0:
-                    vpn = base + index
-                    yield vpn, self.get(vpn)
-
-    def vpns(self) -> Iterator[int]:
-        for chunk_id in sorted(self._frames):
-            frames = self._frames[chunk_id]
-            base = chunk_id << CHUNK_SHIFT
-            for index in range(CHUNK):
-                if frames[index] >= 0:
-                    yield base + index
 
 
 #: fault handler: (space, vaddr, kind) -> True if resolved (retry access)
@@ -323,7 +238,7 @@ class AddressSpace:
 
     def map_page(self, vpn: int, frame: int, perms: PagePerm,
                  incref: bool = False, cow: bool = False,
-                 note: Any = None) -> Any:
+                 note: Any = None) -> None:
         table = self.page_table
         chunk_id = vpn >> CHUNK_SHIFT
         index = vpn & _CHUNK_MASK
@@ -343,7 +258,6 @@ class AddressSpace:
         # cache drops exactly this entry instead of a full generation
         # bump (which would clear the whole cache on every CoW break)
         self._walk_cache.pop(vpn, None)
-        return table.get(vpn)
 
     def unmap_page(self, vpn: int, decref: bool = True) -> int:
         frame = self.page_table.remove(vpn)
@@ -447,8 +361,8 @@ class AddressSpace:
         """All mappings with ``lo_vpn <= vpn < hi_vpn``, ascending.
 
         Returns ``(vpn, frame, perms_int, cow, note)`` tuples — the raw
-        PTE state, no view/PTE objects — so walkers (fork, snapshot,
-        audit) can sweep a region without per-page ``get`` calls.
+        PTE state — so walkers (fork, snapshot, audit) can sweep a
+        region without per-page :meth:`entry` calls.
         """
         out: List[Tuple[int, int, int, bool, Any]] = []
         table = self.page_table
@@ -543,7 +457,6 @@ class AddressSpace:
         all_cow = table._cow
         chunk_len = table._chunk_len
         notes_pop = table._notes.pop
-        views_pop = table._views.pop
         cache_pop = self._walk_cache.pop
         count = len(items)
         position = 0
@@ -565,7 +478,6 @@ class AddressSpace:
             all_cow[chunk_id][index:index + take] = _ZEROS[:take]
             for gone in range(vpn, expect):
                 notes_pop(gone, None)
-                views_pop(gone, None)
                 cache_pop(gone, None)
             table._len -= take
             remaining = chunk_len[chunk_id] - take
@@ -582,7 +494,33 @@ class AddressSpace:
                 [item[1] for item in items])
         return count
 
-    # -- single-slot accessors (fault-path helpers, no view objects) -------
+    # -- single-slot accessors (fault-path helpers) ---------------------------
+
+    def entry(self, vpn: int) -> Optional[Tuple[int, int, bool, Any]]:
+        """``(frame, perms_int, cow, note)`` of ``vpn``, or None when
+        unmapped: one :meth:`mapped_items` row without the vpn."""
+        chunk_id = vpn >> CHUNK_SHIFT
+        table = self.page_table
+        frames = table._frames.get(chunk_id)
+        if frames is None:
+            return None
+        index = vpn & _CHUNK_MASK
+        frame = frames[index]
+        if frame < 0:
+            return None
+        return (frame, table._perms[chunk_id][index],
+                bool(table._cow[chunk_id][index]), table._notes.get(vpn))
+
+    def set_cow(self, vpn: int, cow: bool) -> None:
+        """Set or clear the monolithic baseline's CoW mark of a mapped
+        vpn (charge-free, like :meth:`protect_page`)."""
+        chunk_id = vpn >> CHUNK_SHIFT
+        index = vpn & _CHUNK_MASK
+        table = self.page_table
+        frames = table._frames.get(chunk_id)
+        if frames is None or frames[index] < 0:
+            raise KeyError(f"vpn {vpn:#x} not mapped")
+        table._cow[chunk_id][index] = 1 if cow else 0
 
     def frame_of(self, vpn: int) -> Optional[int]:
         """The frame mapped at ``vpn``, or None."""

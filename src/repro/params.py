@@ -39,6 +39,10 @@ class MachineConfig:
     def va_size(self) -> int:
         return 1 << self.va_bits
 
+    @property
+    def va_pages(self) -> int:
+        return self.va_size // self.page_size
+
     def page_of(self, vaddr: int) -> int:
         return vaddr // self.page_size
 

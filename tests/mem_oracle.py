@@ -148,6 +148,9 @@ class MemOracle:
         pte[1] = int(perms)
         pte[3] = None
 
+    def set_cow(self, vpn: int, cow: bool) -> None:
+        self._require(vpn)[2] = bool(cow)
+
     def set_note_many(self, vpns: Sequence[int], note: Any) -> None:
         ptes = [self._require(vpn) for vpn in vpns]
         for pte in ptes:
@@ -155,6 +158,18 @@ class MemOracle:
 
     def mapped_items(self) -> List[Tuple[int, int, int, bool, Any]]:
         return [(vpn, *self.ptes[vpn]) for vpn in sorted(self.ptes)]
+
+    def entry(self, vpn: int) -> Optional[Tuple[int, int, bool, Any]]:
+        pte = self.ptes.get(vpn)
+        return None if pte is None else tuple(pte)
+
+    def frame_of(self, vpn: int) -> Optional[int]:
+        pte = self.ptes.get(vpn)
+        return None if pte is None else pte[0]
+
+    def note_of(self, vpn: int) -> Any:
+        pte = self.ptes.get(vpn)
+        return None if pte is None else pte[3]
 
     # -- access ------------------------------------------------------------------
 

@@ -136,7 +136,7 @@ class TestMonolithic:
         added = os_.machine.phys.allocated_frames - frames_after_one
         # the second process added fewer frames than its full mapping
         # because library text frames are shared
-        assert added < len(list(b.proc.space.page_table.entries()))
+        assert added < len(b.proc.space.page_table)
 
     def test_allocator_touch_breaks_cow_lazily(self):
         os_ = boot(MonolithicOS)
@@ -155,7 +155,7 @@ class TestVMClone:
     def test_fork_copies_whole_guest(self):
         os_ = boot(VMCloneOS)
         parent = spawn_hello(os_)
-        mapped = len(list(parent.proc.space.page_table.entries()))
+        mapped = len(parent.proc.space.page_table)
         frames_before = os_.machine.phys.allocated_frames
         parent.fork()
         assert os_.machine.phys.allocated_frames - frames_before == mapped
@@ -185,7 +185,7 @@ class TestVMClone:
         parent = spawn_hello(os_)
         child = parent.fork()
         page = os_.machine.config.page_size
-        mapped = len(list(child.proc.space.page_table.entries()))
+        mapped = len(child.proc.space.page_table)
         assert os_.private_bytes(child.proc) == mapped * page
 
     def test_clone_memory_metric_about_1_6mb(self):

@@ -1,39 +1,36 @@
 """Tests for the CPU core and TLB cost models."""
 
-import pytest
-
-from repro.hw.cpu import Core
+from repro.baselines.monolithic import MonolithicOS
+from repro.core.ufork import UForkOS
 from repro.kernel.task import Process
 
 
 class TestCore:
-    def make_task(self):
-        return Process(1, "p").add_task()
+    def switch(self, os_):
+        """Dispatch a fresh task through the kernel scheduler; returns
+        (clock delta, ctx_switch bucket delta, core-0 TLB flushes)."""
+        machine = os_.machine
+        task = Process(1, "p").add_task()
+        os_.sched.add(task)
+        tlb = machine.cores[0].tlb
+        flushes = tlb.flush_count
+        before = machine.clock.now_ns
+        ctx_before = machine.clock.buckets.get("ctx_switch", 0)
+        os_.sched.switch_to(task, cpu=0)
+        return (machine.clock.now_ns - before,
+                machine.clock.buckets["ctx_switch"] - ctx_before,
+                tlb.flush_count - flushes)
 
     def test_switch_same_space_cost(self, machine):
-        core = machine.cores[0]
-        before = machine.clock.now_ns
-        core.switch_to(self.make_task(), same_address_space=True)
-        assert machine.clock.now_ns - before == \
-            int(machine.costs.context_switch_sas_ns)
-        assert core.domain_switches == 1
+        elapsed, ctx, flushes = self.switch(UForkOS(machine))
+        assert ctx == elapsed == int(machine.costs.context_switch_sas_ns)
+        assert flushes == 0
 
     def test_switch_cross_space_cost(self, machine):
-        core = machine.cores[0]
-        before = machine.clock.now_ns
-        core.switch_to(self.make_task(), same_address_space=False)
-        assert machine.clock.now_ns - before == \
-            int(machine.costs.context_switch_mas_ns)
-
-    def test_registers_of_current_task(self, machine):
-        core = machine.cores[0]
-        task = self.make_task()
-        core.switch_to(task, same_address_space=True)
-        assert core.registers is task.registers
-
-    def test_idle_core_has_no_registers(self, machine):
-        with pytest.raises(RuntimeError):
-            machine.cores[1].registers
+        elapsed, ctx, flushes = self.switch(MonolithicOS(machine))
+        assert ctx == int(machine.costs.context_switch_mas_ns)
+        assert flushes == 1
+        assert elapsed == ctx + int(machine.costs.tlb_flush_ns)
 
     def test_machine_has_configured_core_count(self, machine):
         assert len(machine.cores) == machine.config.cores

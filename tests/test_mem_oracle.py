@@ -2,12 +2,13 @@
 
 Hypothesis drives random sequences of the narrow memory API —
 ``map_run``/``unmap_range``/``protect_run``/``replace_frame``/
-``privatize_page``/``set_note_many``/``write``/``write_run``/
+``privatize_page``/``set_cow``/``set_note_many``/``write``/``write_run``/
 ``store_cap``/``copy_frames``/``decref_many`` plus reads, frame
 allocation and TLB flushes — through a real :class:`Machine` and
 through :class:`tests.mem_oracle.MemOracle`, and compares the two after
-every operation: the mapping list, frame numbers, refcounts, page
-bytes and tagged granules.  Every mapped page is also read back
+every operation: the mapping list, the single-slot ``entry``/
+``frame_of``/``note_of`` reads of every vpn in the window (mapped or
+not), frame numbers, refcounts, page bytes and tagged granules.  Every mapped page is also read back
 through :meth:`AddressSpace.read` (unprivileged where the permissions
 allow, which fills the walk cache before the next operation), so the
 walk cache, the deferred scrub and the pooled frame views are all on
@@ -68,6 +69,7 @@ _op = st.one_of(
     st.tuples(st.just("protect_run"), _vpn, st.integers(1, 4), _perm),
     st.tuples(st.just("replace_frame"), _vpn, st.booleans()),
     st.tuples(st.just("privatize_page"), _vpn, _perm, st.booleans()),
+    st.tuples(st.just("set_cow"), _vpn, st.booleans()),
     st.tuples(st.just("set_note_many"), st.lists(_vpn, max_size=4),
               st.integers(0, len(NOTES) - 1)),
     st.tuples(st.just("write"), _addr, _size, st.integers(0, 255),
@@ -184,6 +186,10 @@ class _Pair:
                 lambda: model.privatize_page(vpn, PERMS[perm], frame))
             if got[0] == "ok" and frame is not None:
                 self.loose.remove(frame)
+        elif kind == "set_cow":
+            vpn, cow = args
+            self.both(lambda: space.set_cow(vpn, cow),
+                      lambda: model.set_cow(vpn, cow))
         elif kind == "set_note_many":
             vpns, note = args
             self.both(lambda: space.set_note_many(vpns, NOTES[note]),
@@ -231,6 +237,10 @@ class _Pair:
         space, model, phys = self.space, self.model, self.phys
         assert space.mapped_items(0, BASE + SPAN + CHUNK) == \
             model.mapped_items()
+        for vpn in range(BASE - 1, BASE + SPAN + 1):
+            assert space.entry(vpn) == model.entry(vpn)
+            assert space.frame_of(vpn) == model.frame_of(vpn)
+            assert space.note_of(vpn) == model.note_of(vpn)
         assert phys.allocated_frames == len(model.refcount)
         for number in model.live_frames():
             assert phys.refcount(number) == model.refcount[number]

@@ -9,11 +9,15 @@ layout-owning ``repro.mem``) reaches into the representation: the
 chunked PTE arrays and the banked frame arenas must be a private
 detail.
 
-This test greps the source tree for the representation attributes;
-anything it finds must either move to the public bulk interface
+This test greps the source tree for the representation attributes,
+and for ``.page_table`` itself: page-table state is read and edited
+only through :class:`~repro.hw.paging.AddressSpace`.  Anything it
+finds must either move to the public interface — bulk
 (``mapped_items``/``map_run``/``unmap_range``/``copy_frames``/
-``privatize_page``/``tagged_granules``/``snapshot_content``/...) or be
-added to the hw/mem layers themselves.
+``privatize_page``/``tagged_granules``/``snapshot_content``/...) or
+single-slot (``entry``/``frame_of``/``note_of``/``protect_page``/
+``set_cow``/``set_note``) — or be added to the hw/mem layers
+themselves.
 """
 
 import pathlib
@@ -23,7 +27,7 @@ REPO_SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
 
 #: attribute accesses that couple a caller to the storage representation
 _FORBIDDEN = re.compile(
-    r"\.(_entries\b|_frames\b|_perms\b|_cow\b|tags\b(?!\w))")
+    r"\.(_entries\b|_frames\b|_perms\b|_cow\b|tags\b(?!\w)|page_table\b)")
 
 #: the layers that own the representations
 _ALLOWED_PREFIXES = ("hw/", "mem/")

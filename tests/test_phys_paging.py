@@ -369,6 +369,6 @@ class TestAddressSpace:
 
     def test_unmap_decrefs(self, machine):
         space, base = self.make_space(machine, pages=1)
-        frame = space.page_table.get(base // self.PAGE).frame
+        frame = space.frame_of(base // self.PAGE)
         space.unmap_page(base // self.PAGE)
         assert not machine.phys.contains(frame)

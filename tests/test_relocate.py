@@ -173,3 +173,54 @@ class TestRelocateRegisters:
         regs = RegisterFile()
         regs.set("c1", cap_at(0x10_4000).invalidated())
         assert relocate_registers(machine, regs, PARENT) == 0
+
+
+class TestContentMemo:
+    """Fork's whole-page content memo (``relocate_copied_frames``) is
+    keyed on the source frame's version.  A tag-only change — no byte
+    written, one granule's tag cleared — must still miss it: a memo
+    that replayed the old page would resurrect a capability the parent
+    revoked (the cache-keyed-on-version pitfall of CHERI VM code)."""
+
+    def _fork_after_tag_clear(self, clear_memo):
+        from repro.apps.guest import GuestContext
+        from repro.apps.hello import hello_world_image
+        from repro.core import CopyStrategy, UForkOS
+
+        os_ = UForkOS(machine=Machine(),
+                      copy_strategy=CopyStrategy.FULL_COPY)
+        machine = os_.machine
+        page = machine.config.page_size
+        parent = GuestContext(os_, os_.spawn(hello_world_image(), "memo"))
+        slot = parent.malloc(64)
+        parent.store_cap(slot, parent.malloc(32))
+        vpn, offset = divmod(slot.cursor, page)
+        src = os_.space.frame_of(vpn)
+
+        first = parent.fork()
+        cached = [entry for key, entry in machine._page_memo.items()
+                  if key[1] == src]
+        assert cached and cached[0] != 0, "source page not memoised"
+        first.exit(0)
+        parent.wait(first.pid)
+
+        machine.phys.clear_tags_range(src, offset, offset + 16)
+        if clear_memo:
+            machine._page_memo.clear()
+        second = parent.fork()
+        # the first child's region was released and is reused, so the
+        # memo key differs only by the source frame's version
+        assert second.proc.region_base == first.proc.region_base
+        delta = second.proc.region_base - parent.proc.region_base
+        probe = second.reg("ddc").set_bounds(slot.base + delta, 64) \
+            .with_cursor(slot.cursor + delta)
+        number = os_.space.frame_of(vpn + delta // page)
+        return (second.load_cap(probe).valid,
+                machine.phys.frame(number).read(0, page),
+                machine.phys.scan_tagged(number))
+
+    def test_tag_only_change_misses_the_memo(self):
+        memoised = self._fork_after_tag_clear(clear_memo=False)
+        fresh = self._fork_after_tag_clear(clear_memo=True)
+        assert memoised[0] is False
+        assert memoised == fresh

@@ -50,9 +50,10 @@ def kernel_snapshot(os_, ctx):
     except for the aborted fork's own rollback)."""
     machine = os_.machine
     ptes = {
-        vpn: (pte.frame, pte.perms, type(pte.note).__name__,
-              machine.phys.refcount(pte.frame))
-        for vpn, pte in os_.space.page_table.entries()
+        vpn: (frame, perms, type(note).__name__,
+              machine.phys.refcount(frame))
+        for vpn, frame, perms, _cow, note
+        in os_.space.mapped_items(0, machine.config.va_pages)
     }
     descs = {fd: desc.refcount
              for fd, desc in ctx.proc.fdtable._slots.items()}
@@ -107,8 +108,8 @@ def test_abort_with_siblings_running_leaks_nothing(strategy, point):
     assert machine.counters.snapshot().get("fork_rollbacks") == 1
     assert machine.obs.registry.counters()["core.ufork.fork_rollbacks"] == 1
     assert engine.recovered.get(point) == 1
-    for _vpn, pte in os_.space.page_table.entries():
-        assert not isinstance(pte.note, ShareNote)
+    for _vpn, note in os_.space.noted_items():
+        assert not isinstance(note, ShareNote)
 
     # the spinlocks are all released and the parent still forks fine
     assert machine.irq_depth == 0
